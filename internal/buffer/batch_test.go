@@ -215,8 +215,6 @@ func poolResident(p Pool, pid storage.PID) *entry {
 	switch v := p.(type) {
 	case *VMPool:
 		return v.resident.get(pid)
-	case *HTPool:
-		return v.resident.get(pid)
 	}
 	return nil
 }

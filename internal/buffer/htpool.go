@@ -2,460 +2,105 @@ package buffer
 
 import (
 	"fmt"
-	"math/rand"
-	"runtime"
-	"sync"
-	"time"
 
-	"blobdb/internal/simtime"
 	"blobdb/internal/storage"
 )
 
-// HTPool is the traditional hash-table buffer pool used by the Our.ht
-// baseline (§V-B, §V-E).
+// NewHTPool creates the traditional hash-table buffer pool used by the
+// Our.ht baseline (§V-B, §V-E): numPages page-granular frames scattered
+// in memory, over dev.
 //
-// Frames are page-granular and scattered: fixing an N-page extent performs
-// N page translations and yields N disjoint byte ranges, and the device is
-// read page by page (the §III-G example of N preads). A multi-extent BLOB
-// therefore cannot be presented as contiguous memory — callers must
-// materialize it with an extra allocate+copy, which is exactly the overhead
-// Figure 10 measures against virtual-memory aliasing.
-//
-// Concurrency mirrors VMPool: sharded resident map for the hot hit path,
-// one structural mutex for the translation table and free list, and no
-// device I/O under either — eviction claims its victim, drops the lock,
-// writes back, reconfirms.
-type HTPool struct {
-	pageSize int
-	numPages int
-	slab     []byte
-	dev      storage.Device
-	q        *storage.SubQueue
+// Fixing an N-page extent performs N page translations and yields N
+// disjoint byte ranges, and the device is read and written page by page
+// (the §III-G example of N preads). A multi-extent BLOB therefore cannot
+// be presented as contiguous memory — callers must materialize it with an
+// extra allocate+copy, which is exactly the overhead Figure 10 measures
+// against virtual-memory aliasing.
+func NewHTPool(dev storage.Device, numPages int) *VMPool {
+	return newPool(dev, numPages, 43, newPageLayout)
+}
 
-	resident shardedResident // keyed by extent head PID (coarse latch)
-
-	mu        sync.Mutex
+// pageLayout scatters an extent over page frames found through a per-page
+// translation table.
+type pageLayout struct {
+	pageSize  int
+	slab      []byte
 	pageMap   map[storage.PID]int // per-page translation table
-	order     []storage.PID
-	orderIdx  map[storage.PID]int // head PID -> index in order (O(1) removal)
 	freePages []int
-	rng       *rand.Rand
-	maxExt    int
-	residPg   int
-
-	stats Stats
 }
 
-// NewHTPool creates a hash-table pool of numPages frames over dev.
-func NewHTPool(dev storage.Device, numPages int) *HTPool {
-	if numPages <= 0 {
-		panic("buffer: pool must have at least one page")
+func newPageLayout(pageSize, numPages int) frameLayout {
+	l := &pageLayout{
+		pageSize:  pageSize,
+		slab:      make([]byte, numPages*pageSize),
+		pageMap:   map[storage.PID]int{},
+		freePages: make([]int, numPages),
 	}
-	p := &HTPool{
-		pageSize: dev.PageSize(),
-		numPages: numPages,
-		slab:     make([]byte, numPages*dev.PageSize()),
-		dev:      dev,
-		pageMap:  map[storage.PID]int{},
-		orderIdx: map[storage.PID]int{},
-		rng:      rand.New(rand.NewSource(43)),
-		maxExt:   1,
+	for i := range l.freePages {
+		l.freePages[i] = numPages - 1 - i
 	}
-	p.resident.init()
-	p.freePages = make([]int, numPages)
-	for i := range p.freePages {
-		p.freePages[i] = numPages - 1 - i
+	return l
+}
+
+func (l *pageLayout) page(idx int) []byte {
+	off := idx * l.pageSize
+	return l.slab[off : off+l.pageSize : off+l.pageSize]
+}
+
+func (l *pageLayout) place(e *entry) (bool, error) {
+	// Reject overlap with any resident extent: the allocator hands out
+	// disjoint extents, so an overlapping fix is a caller bug that would
+	// silently corrupt the page translation table.
+	for i := 0; i < e.npages; i++ {
+		if _, clash := l.pageMap[e.headPID+storage.PID(i)]; clash {
+			return false, fmt.Errorf("buffer: extent [%d,%d) overlaps a resident extent",
+				e.headPID, e.headPID+storage.PID(e.npages))
+		}
 	}
-	return p
+	if len(l.freePages) < e.npages {
+		return false, nil
+	}
+	e.pages = make([]int, e.npages)
+	for i := range e.pages {
+		idx := l.freePages[len(l.freePages)-1]
+		l.freePages = l.freePages[:len(l.freePages)-1]
+		e.pages[i] = idx
+		l.pageMap[e.headPID+storage.PID(i)] = idx
+	}
+	return true, nil
 }
 
-// SetEvictionSeed reseeds the eviction-sampling rng (see
-// VMPool.SetEvictionSeed).
-func (p *HTPool) SetEvictionSeed(seed int64) {
-	p.mu.Lock()
-	p.rng = rand.New(rand.NewSource(seed))
-	p.mu.Unlock()
-}
-
-// PageSize implements Pool.
-func (p *HTPool) PageSize() int { return p.pageSize }
-
-// Stats implements Pool.
-func (p *HTPool) Stats() *Stats { return &p.stats }
-
-// SetQueue implements Pool.
-func (p *HTPool) SetQueue(q *storage.SubQueue) { p.q = q }
-
-func (p *HTPool) queue() *storage.SubQueue { return p.q }
-
-// ResidentPages implements Pool.
-func (p *HTPool) ResidentPages() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.residPg
-}
-
-func (p *HTPool) pageSlice(idx int) []byte {
-	off := idx * p.pageSize
-	return p.slab[off : off+p.pageSize : off+p.pageSize]
-}
-
-// frame assembles the page list with one translation per page — the N
-// translations the paper contrasts with vmcache's single one. The entry
-// carries its page indexes, so no pool lock is needed.
-func (p *HTPool) frame(e *entry) *Frame {
-	pages := make([][]byte, e.npages)
+func (l *pageLayout) free(e *entry) {
 	for i, idx := range e.pages {
-		pages[i] = p.pageSlice(idx)
-	}
-	return &Frame{
-		HeadPID:  e.headPID,
-		NPages:   e.npages,
-		pages:    pages,
-		pageSize: p.pageSize,
-		entry:    e,
-		pool:     p,
+		l.freePages = append(l.freePages, idx)
+		delete(l.pageMap, e.headPID+storage.PID(i))
 	}
 }
 
-// FixExtent implements Pool.
-func (p *HTPool) FixExtent(m *simtime.Meter, pid storage.PID, npages int) (*Frame, error) {
-	e, fresh, err := p.admit(m, pid, npages)
-	if err != nil {
-		return nil, err
+// segs emits one single-page segment per frame: nothing longer is
+// contiguous in memory.
+func (l *pageLayout) segs(dst []storage.Seg, e *entry, lo, hi int) []storage.Seg {
+	for i := lo; i < hi; i++ {
+		dst = append(dst, storage.Seg{PID: e.headPID + storage.PID(i), N: 1, Buf: l.page(e.pages[i])})
 	}
-	if fresh {
-		// Read the device page by page, as a page-granular pool does.
-		err := func() error {
-			for i := 0; i < npages; i++ {
-				if err := p.dev.ReadPages(m, pid+storage.PID(i), 1, p.pageSlice(e.pages[i])); err != nil {
-					return err
-				}
-			}
-			return nil
-		}()
-		if err != nil {
-			e.loadErr = err
-			close(e.loaded)
-			p.release(p.frame(e))
-			return nil, err
-		}
-		close(e.loaded)
-	} else {
-		if !e.isLoaded() {
-			p.stats.Coalesces.Add(1)
-		}
-		<-e.loaded
-		if err := e.loadErr; err != nil {
-			p.release(p.frame(e))
-			return nil, err
-		}
-	}
-	return p.frame(e), nil
+	return dst
 }
 
-// FixExtents implements Pool. Misses still become one page-granular segment
-// per frame (the baseline's N-preads character), but all of them go to the
-// device in a single vectored submission.
-func (p *HTPool) FixExtents(m *simtime.Meter, specs []ExtentSpec) ([]*Frame, error) {
-	return fixExtents(p, m, specs)
-}
-
-func (p *HTPool) makeFrame(e *entry) *Frame { return p.frame(e) }
-func (p *HTPool) device() storage.Device    { return p.dev }
-
-// missSegs emits one single-page segment per frame: a page-granular pool
-// scatters an extent, so nothing longer is contiguous in memory.
-func (p *HTPool) missSegs(loads []*entry) []storage.Seg {
+// missSegs keeps the baseline's N-preads character — one segment per page
+// — even though all of them go to the device in a single submission.
+func (l *pageLayout) missSegs(loads []*entry) []storage.Seg {
 	var segs []storage.Seg
 	for _, e := range loads {
-		for i := 0; i < e.npages; i++ {
-			segs = append(segs, storage.Seg{
-				PID: e.headPID + storage.PID(i),
-				N:   1,
-				Buf: p.pageSlice(e.pages[i]),
-			})
-		}
+		segs = l.segs(segs, e, 0, e.npages)
 	}
 	return segs
 }
 
-// CreateExtent implements Pool.
-func (p *HTPool) CreateExtent(m *simtime.Meter, pid storage.PID, npages int) (*Frame, error) {
-	e, fresh, err := p.admit(m, pid, npages)
-	if err != nil {
-		return nil, err
-	}
-	if !fresh {
-		p.release(p.frame(e))
-		return nil, fmt.Errorf("buffer: CreateExtent(%d): extent already resident", pid)
-	}
-	for i := 0; i < npages; i++ {
-		clear(p.pageSlice(e.pages[i]))
-	}
-	// Dirty tracking follows the caller's writes (§III-C).
-	e.preventEvict.Store(true)
-	close(e.loaded)
-	return p.frame(e), nil
-}
-
-func (p *HTPool) admit(m *simtime.Meter, pid storage.PID, npages int) (*entry, bool, error) {
-	sh := p.resident.shard(pid)
-	for {
-		// Hot path: shard-local hit, no structural lock.
-		sh.RLock()
-		e := sh.m[pid]
-		sh.RUnlock()
-		if e != nil {
-			if e.npages != npages {
-				return nil, false, fmt.Errorf("buffer: extent %d resident with %d pages, fixed with %d",
-					pid, e.npages, npages)
-			}
-			if e.tryPin() {
-				p.stats.Hits.Add(1)
-				return e, false, nil
-			}
-			// Claimed by an in-flight eviction; wait for it to resolve.
-			runtime.Gosched()
-			continue
-		}
-
-		t0 := time.Now() //blobvet:allow real lock-wait metering for LockWaitNs stats; never replayed
-		p.mu.Lock()
-		p.stats.LockWaitNs.Add(time.Since(t0).Nanoseconds()) //blobvet:allow real lock-wait metering for LockWaitNs stats; never replayed
-		if npages > p.numPages {
-			p.mu.Unlock()
-			return nil, false, fmt.Errorf("buffer: extent of %d pages exceeds pool of %d: %w",
-				npages, p.numPages, ErrPoolFull)
-		}
-		raced := false
-		for {
-			// Evictions drop p.mu for write-backs, so re-validate residency
-			// every time we get the lock back.
-			sh.RLock()
-			raced = sh.m[pid] != nil
-			sh.RUnlock()
-			if raced {
-				break
-			}
-			// Reject overlap with any resident extent: the allocator hands
-			// out disjoint extents, so an overlapping fix is a caller bug
-			// that would silently corrupt the page translation table.
-			for i := 0; i < npages; i++ {
-				if _, clash := p.pageMap[pid+storage.PID(i)]; clash {
-					p.mu.Unlock()
-					return nil, false, fmt.Errorf("buffer: extent [%d,%d) overlaps a resident extent", pid, pid+storage.PID(npages))
-				}
-			}
-			if len(p.freePages) >= npages {
-				break
-			}
-			if err := p.evictOneLocked(m); err != nil {
-				p.mu.Unlock()
-				return nil, false, err
-			}
-		}
-		if raced {
-			p.mu.Unlock()
-			continue // retry as a hit
-		}
-		e = &entry{
-			headPID: pid,
-			npages:  npages,
-			pages:   make([]int, npages),
-			loaded:  make(chan struct{}),
-		}
-		e.pins.Store(1)
-		for i := 0; i < npages; i++ {
-			idx := p.freePages[len(p.freePages)-1]
-			p.freePages = p.freePages[:len(p.freePages)-1]
-			e.pages[i] = idx
-			p.pageMap[pid+storage.PID(i)] = idx
-		}
-		sh.Lock()
-		sh.m[pid] = e
-		sh.Unlock()
-		p.orderIdx[pid] = len(p.order)
-		p.order = append(p.order, pid)
-		p.residPg += npages
-		if npages > p.maxExt {
-			p.maxExt = npages
-		}
-		p.stats.Misses.Add(1)
-		p.mu.Unlock()
-		return e, true, nil
-	}
-}
-
-func (p *HTPool) evictOneLocked(m *simtime.Meter) error {
-	for tries := 0; tries < 8*len(p.order)+64; tries++ {
-		if len(p.order) == 0 {
-			return fmt.Errorf("buffer: nothing to evict: %w", ErrPoolFull)
-		}
-		e := p.resident.get(p.order[p.rng.Intn(len(p.order))])
-		if e == nil || e.preventEvict.Load() || !e.isLoaded() {
-			continue
-		}
-		if p.rng.Intn(p.maxExt) >= e.npages {
-			continue
-		}
-		if !e.claimEvict() {
-			continue // pinned, or claimed by a concurrent eviction
-		}
-		if e.preventEvict.Load() {
-			e.unclaimEvict()
-			continue
-		}
-		if e.dirty() {
-			// Victim claimed, lock dropped, write, reconfirm.
-			p.mu.Unlock()
-			err := p.writeBack(m, e)
-			p.mu.Lock()
-			if err != nil {
-				e.unclaimEvict()
-				return err
-			}
-		}
-		p.removeLocked(e)
-		p.stats.Evictions.Add(1)
-		return nil
-	}
-	return fmt.Errorf("buffer: all extents pinned or protected: %w", ErrPoolFull)
-}
-
-// writeBack writes the dirty pages back one command per page — page-granular
-// pools cannot issue a single contiguous write for an extent scattered
-// across frames. It takes no pool lock: the entry carries its page indexes
-// and the caller's pin/claim keeps them assigned.
-func (p *HTPool) writeBack(m *simtime.Meter, e *entry) error {
-	lo, hi := e.takeDirty()
-	if lo == hi {
-		return nil
-	}
-	if p.q != nil {
-		// With a submission queue the scattered pages still go out as one
-		// submission (a Vec of single-page segments) — the queue overlaps
-		// the I/O, but the per-page command cost stays: this is the §V-B
-		// baseline the contiguous VMPool write-back is measured against.
-		segs := make([]storage.Seg, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			segs = append(segs, storage.Seg{PID: e.headPID + storage.PID(i), N: 1, Buf: p.pageSlice(e.pages[i])})
-		}
-		if err := p.q.Wait(p.q.Submit(m, storage.Vec{Writes: segs})); err != nil {
-			e.markDirty(lo, hi)
-			return err
-		}
-		p.stats.Writebacks.Add(1)
-		return nil
-	}
-	for i := lo; i < hi; i++ {
-		if err := p.dev.WritePages(m, e.headPID+storage.PID(i), 1, p.pageSlice(e.pages[i])); err != nil {
-			e.markDirty(i, hi)
-			return err
-		}
-	}
-	p.stats.Writebacks.Add(1)
-	return nil
-}
-
-func (p *HTPool) removeLocked(e *entry) {
-	sh := p.resident.shard(e.headPID)
-	sh.Lock()
-	if sh.m[e.headPID] != e {
-		sh.Unlock()
-		return
-	}
-	delete(sh.m, e.headPID)
-	sh.Unlock()
-	if i, ok := p.orderIdx[e.headPID]; ok {
-		last := len(p.order) - 1
-		moved := p.order[last]
-		p.order[i] = moved
-		p.order = p.order[:last]
-		if moved != e.headPID {
-			p.orderIdx[moved] = i
-		}
-		delete(p.orderIdx, e.headPID)
-	}
-	for i := 0; i < e.npages; i++ {
-		p.freePages = append(p.freePages, e.pages[i])
-		delete(p.pageMap, e.headPID+storage.PID(i))
-	}
-	p.residPg -= e.npages
-}
-
-// FlushExtent implements Pool. The caller's pin keeps the frames stable, so
-// no pool lock is needed.
-func (p *HTPool) FlushExtent(m *simtime.Meter, f *Frame) error {
-	if err := p.writeBack(m, f.entry); err != nil {
-		return err
-	}
-	f.entry.preventEvict.Store(false)
-	return nil
-}
-
-// Drop implements Pool.
-func (p *HTPool) Drop(pid storage.PID) {
-	for {
-		p.mu.Lock()
-		e := p.resident.get(pid)
-		if e == nil {
-			p.mu.Unlock()
-			return
-		}
-		if e.pins.Load() > 0 {
-			p.mu.Unlock()
-			panic("buffer: Drop of pinned extent")
-		}
-		if e.claimEvict() {
-			p.removeLocked(e)
-			p.mu.Unlock()
-			return
-		}
-		// Claimed by an in-flight eviction; let its write-back finish.
-		p.mu.Unlock()
-		runtime.Gosched()
-	}
-}
-
-// EvictAll implements Pool.
-func (p *HTPool) EvictAll(m *simtime.Meter) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, pid := range append([]storage.PID(nil), p.order...) {
-		e := p.resident.get(pid)
-		if e == nil || e.preventEvict.Load() || !e.isLoaded() {
-			continue
-		}
-		if !e.claimEvict() {
-			continue
-		}
-		if e.dirty() {
-			p.mu.Unlock()
-			err := p.writeBack(m, e)
-			p.mu.Lock()
-			if err != nil {
-				e.unclaimEvict()
-				return err
-			}
-		}
-		p.removeLocked(e)
-		p.stats.Evictions.Add(1)
-	}
-	return nil
-}
-
-func (p *HTPool) release(f *Frame) {
-	e := f.entry
-	n := e.pins.Add(-1)
-	if n < 0 {
-		panic("buffer: double release")
-	}
-	if n == 0 && e.isLoaded() && e.loadErr != nil {
-		p.mu.Lock()
-		if e.claimEvict() {
-			p.removeLocked(e)
-		}
-		p.mu.Unlock()
+// view assembles the page list with one translation per page — the N
+// translations the paper contrasts with vmcache's single one.
+func (l *pageLayout) view(f *Frame) {
+	f.pages = make([][]byte, f.NPages)
+	for i, idx := range f.entry.pages {
+		f.pages[i] = l.page(idx)
 	}
 }

@@ -1,18 +1,22 @@
-// Package buffer implements the two buffer-manager designs the paper
-// compares (§IV, Figure 10):
+// Package buffer implements the extent buffer pool and the two buffer
+// managers the paper compares (§IV, Figure 10). They differ only in where
+// a frame's bytes live, so one pool (VMPool) runs both over a frame layout:
 //
-//   - VMPool, modeled on vmcache+exmap: extents occupy contiguous frames in
-//     one slab, so a whole extent is a single contiguous byte range and
-//     needs one translation; multi-extent BLOBs are presented as one
-//     logical buffer through aliasing areas (alias.go).
-//   - HTPool, the traditional hash-table buffer pool baseline ("Our.ht"):
-//     page-granular frames scattered in memory, so reading a BLOB requires
-//     materializing it with an extra allocate+copy.
+//   - NewVMPool, modeled on vmcache+exmap: extents occupy contiguous frames
+//     in one slab, so a whole extent is a single contiguous byte range,
+//     needs one translation, and moves with one device command;
+//     multi-extent BLOBs are presented as one logical buffer through
+//     aliasing areas (alias.go).
+//   - NewHTPool, the traditional hash-table buffer pool baseline ("Our.ht"):
+//     page-granular frames scattered in memory and moved one device command
+//     per page, so reading a BLOB requires materializing it with an extra
+//     allocate+copy.
 //
-// Both pools implement extent-granular (coarse-grained) latching: one
-// loader per extent, concurrent fixers wait (§III-G), size-weighted random
-// eviction, and the prevent_evict flag that protects extents between
-// allocation and their commit-time flush (§III-C).
+// The shared pool implements extent-granular (coarse-grained) latching:
+// one loader per extent, concurrent fixers wait (§III-G), size-weighted
+// random eviction with lock-dropped write-back, and the prevent_evict flag
+// that protects extents between allocation and their commit-time flush
+// (§III-C).
 package buffer
 
 import (
@@ -32,20 +36,20 @@ type Frame struct {
 	HeadPID storage.PID
 	NPages  int
 
-	data  []byte   // contiguous frame memory (VMPool); nil for HTPool
-	pages [][]byte // page-granular frames (HTPool); nil for VMPool
+	data  []byte   // contiguous frame memory (slab layout), else nil
+	pages [][]byte // page-granular frames (page layout), else nil
 
 	pageSize int
 	entry    *entry
-	pool     Pool
+	pool     *VMPool
 }
 
 // Contiguous returns the extent as one contiguous byte slice, or nil if
-// this pool cannot represent extents contiguously (HTPool).
+// the pool's layout scatters extents over page frames (NewHTPool).
 func (f *Frame) Contiguous() []byte { return f.data }
 
-// Spans returns the extent memory as a list of byte ranges. For VMPool this
-// is a single span; for HTPool one span per page.
+// Spans returns the extent memory as a list of byte ranges: a single span
+// in the slab layout, one span per page in the page layout.
 func (f *Frame) Spans() [][]byte {
 	if f.data != nil {
 		return [][]byte{f.data}
@@ -108,7 +112,7 @@ func (f *Frame) SetPreventEvict(v bool) { f.entry.preventEvict.Store(v) }
 // Release unpins the frame.
 func (f *Frame) Release() { f.pool.release(f) }
 
-// entry is the per-extent bookkeeping shared by both pools. Access to the
+// entry is the per-extent bookkeeping of the pool. Access to the
 // extent content is coarse-grained: the entry is created in "loading" state
 // and concurrent fixers wait on the loaded channel — only one worker issues
 // the device read (§III-G).
@@ -116,8 +120,8 @@ type entry struct {
 	headPID storage.PID
 	npages  int
 
-	frameOff int   // VMPool: page offset of the frame range in the slab
-	pages    []int // HTPool: slab page index per extent page
+	frameOff int   // slab layout: frame offset of the extent in the slab
+	pages    []int // page layout: frame index per extent page
 
 	pins         atomic.Int32
 	preventEvict atomic.Bool
@@ -323,136 +327,4 @@ func (r *shardedResident) get(pid storage.PID) *entry {
 	e := sh.m[pid]
 	sh.RUnlock()
 	return e
-}
-
-func (r *shardedResident) forEach(fn func(pid storage.PID, e *entry) bool) {
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.RLock()
-		for pid, e := range sh.m {
-			if !fn(pid, e) {
-				sh.RUnlock()
-				return
-			}
-		}
-		sh.RUnlock()
-	}
-}
-
-// batchPool is what the shared fixExtents engine needs from a concrete pool.
-type batchPool interface {
-	Pool
-	// admit returns a pinned entry for the extent, creating it in loading
-	// state when absent. fresh reports whether this caller owns the load
-	// (must close e.loaded after filling the frame).
-	admit(m *simtime.Meter, pid storage.PID, npages int) (e *entry, fresh bool, err error)
-	// makeFrame builds a Frame for a pinned entry.
-	makeFrame(e *entry) *Frame
-	// missSegs converts freshly admitted entries into device segments,
-	// coalescing where the pool's frame layout allows.
-	missSegs(loads []*entry) []storage.Seg
-	device() storage.Device
-	// queue returns the submission queue set by SetQueue, or nil.
-	queue() *storage.SubQueue
-}
-
-// fixExtents is the shared batched fix engine (§III-D). One classification
-// pass admits every spec — hits pin immediately, misses are claimed in
-// loading state — then all misses are loaded with a single vectored device
-// submission, then in-flight entries loaded by other workers are awaited.
-func fixExtents(p batchPool, m *simtime.Meter, specs []ExtentSpec) ([]*Frame, error) {
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	frames := make([]*Frame, 0, len(specs))
-	var loads []*entry
-
-	unwind := func() {
-		for _, f := range frames {
-			f.Release()
-		}
-	}
-
-	// Pass 1: classify. admit never blocks on loaded, so duplicate specs
-	// and contended extents cannot deadlock the batch.
-	for _, sp := range specs {
-		e, fresh, err := p.admit(m, sp.PID, sp.NPages)
-		if err != nil {
-			// Entries we already claimed for loading still have waiters
-			// parked on their channels; finish those loads regardless.
-			if lerr := loadMisses(p, m, loads); lerr != nil {
-				poisonLoads(loads, lerr)
-			}
-			unwind()
-			return nil, err
-		}
-		if fresh {
-			loads = append(loads, e)
-		}
-		frames = append(frames, p.makeFrame(e))
-	}
-
-	// Pass 2: one vectored submission for every miss.
-	if err := loadMisses(p, m, loads); err != nil {
-		poisonLoads(loads, err)
-		unwind()
-		return nil, err
-	}
-
-	// Pass 3: wait for loads owned by other workers.
-	st := p.Stats()
-	for _, f := range frames {
-		e := f.entry
-		if !e.isLoaded() {
-			st.Coalesces.Add(1)
-		}
-		<-e.loaded
-		if e.loadErr != nil {
-			err := e.loadErr
-			unwind()
-			return nil, err
-		}
-	}
-	return frames, nil
-}
-
-// loadMisses reads all freshly claimed entries with one ReadVec submission
-// and publishes them. Callers handle a non-nil error with poisonLoads.
-func loadMisses(p batchPool, m *simtime.Meter, loads []*entry) error {
-	if len(loads) == 0 {
-		return nil
-	}
-	segs := p.missSegs(loads)
-	var err error
-	if q := p.queue(); q != nil {
-		// One queue submission for the whole miss set: the cold read's
-		// device work overlaps with other workers' in-flight submissions
-		// up to the queue depth, instead of serializing on the device.
-		err = q.Wait(q.Submit(m, storage.Vec{Reads: segs}))
-	} else {
-		err = storage.ReadVec(p.device(), m, segs)
-	}
-	if err != nil {
-		return err
-	}
-	st := p.Stats()
-	st.FixBatches.Add(1)
-	st.ReadVecSegments.Add(int64(len(segs)))
-	pages := 0
-	for _, e := range loads {
-		pages += e.npages
-	}
-	st.FixBatchPages.Add(int64(pages))
-	for _, e := range loads {
-		close(e.loaded)
-	}
-	return nil
-}
-
-// poisonLoads publishes a load failure to every waiter of the given entries.
-func poisonLoads(loads []*entry, err error) {
-	for _, e := range loads {
-		e.loadErr = err
-		close(e.loaded)
-	}
 }

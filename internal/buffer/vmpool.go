@@ -12,34 +12,29 @@ import (
 	"blobdb/internal/storage"
 )
 
-// VMPool is the vmcache+exmap-style buffer manager (§IV-A).
-//
-// All frame memory lives in one slab. An extent always occupies a
-// *contiguous* frame range, so fixing an extent yields a single byte range
-// after one translation — the property the paper exploits for cheap BLOB
-// reads. A small first-fit span allocator manages the slab; eviction makes
-// room by removing randomly sampled extents with probability proportional
-// to their size (§III-G "fair extent eviction").
+// VMPool is the extent buffer pool. Both buffer managers of §IV share it:
+// NewVMPool places extents in a contiguous slab (vmcache+exmap, §IV-A),
+// NewHTPool scatters them over page frames (the hash-table baseline
+// "Our.ht"). Everything else — admission, extent latching, size-weighted
+// eviction, write-back — is this one implementation.
 //
 // Concurrency: the resident map is sharded so hot fixes (hits) only touch
-// one shard's RWMutex; the structural mutex mu guards the span allocator
-// and eviction bookkeeping. No device I/O ever happens under mu — eviction
-// claims its victim via a pin-count CAS, drops the lock for the write-back,
-// then reconfirms.
+// one shard's RWMutex; the structural mutex mu guards the frame layout's
+// placement state and the eviction bookkeeping. No device I/O ever happens
+// under mu — eviction claims its victim via a pin-count CAS, drops the lock
+// for the write-back, then reconfirms.
 type VMPool struct {
-	pageSize  int
-	numPages  int // resident budget (the buffer pool size)
-	slabPages int // virtual slab size (over-provisioned, see NewVMPool)
-	slab      []byte
-	dev       storage.Device
-	q         *storage.SubQueue
+	pageSize int
+	numPages int // resident budget (the buffer pool size)
+	dev      storage.Device
+	q        *storage.SubQueue
+	layout   frameLayout
 
 	resident shardedResident
 
 	mu         sync.Mutex
 	order      []storage.PID       // sampling population for eviction
 	orderIdx   map[storage.PID]int // head PID -> index in order (O(1) removal)
-	spans      []span              // free slab ranges, sorted by offset
 	rng        *rand.Rand
 	maxExtSize int // largest extent seen, for the eviction probability
 	residentPg int
@@ -47,31 +42,45 @@ type VMPool struct {
 	stats Stats
 }
 
-type span struct{ off, n int }
+// frameLayout is where a pool's frame bytes live — the one thing the two
+// buffer managers differ in. place and free run under VMPool.mu; segs and
+// view read only the entry, whose frame memory is fixed while it is pinned
+// or claimed.
+type frameLayout interface {
+	// place assigns frame memory to e (headPID and npages set), reporting
+	// false when nothing fits until an extent is evicted. An error refuses
+	// the extent outright.
+	place(e *entry) (bool, error)
+	// free returns e's frame memory to the layout.
+	free(e *entry)
+	// segs appends the device segments covering pages [lo, hi) of e: one
+	// per run of pages that is contiguous in frame memory.
+	segs(dst []storage.Seg, e *entry, lo, hi int) []storage.Seg
+	// missSegs turns freshly admitted entries into one batched read.
+	missSegs(loads []*entry) []storage.Seg
+	// view points f at e's frame memory.
+	view(f *Frame)
+}
 
 // NewVMPool creates a vmcache-style pool of numPages resident frames over
-// dev.
-//
-// Like vmcache, frame placement is a *virtual* address concern: the real
-// system reserves virtual space far larger than physical memory and lets
-// the page table scatter physical pages, so a contiguous extent never
-// fails on fragmentation. Go cannot remap pages, so the slab is
-// over-provisioned 2x instead: the span allocator works in the roomy
-// virtual slab while eviction enforces the numPages resident budget.
+// dev: an extent always occupies a contiguous frame range, so fixing it
+// yields one byte range after one translation — the property the paper
+// exploits for cheap BLOB reads.
 func NewVMPool(dev storage.Device, numPages int) *VMPool {
+	return newPool(dev, numPages, 42, newSlabLayout)
+}
+
+func newPool(dev storage.Device, numPages int, seed int64, layout func(pageSize, numPages int) frameLayout) *VMPool {
 	if numPages <= 0 {
 		panic("buffer: pool must have at least one page")
 	}
-	slabPages := numPages * 2
 	p := &VMPool{
 		pageSize:   dev.PageSize(),
 		numPages:   numPages,
-		slabPages:  slabPages,
-		slab:       make([]byte, slabPages*dev.PageSize()),
 		dev:        dev,
+		layout:     layout(dev.PageSize(), numPages),
 		orderIdx:   map[storage.PID]int{},
-		spans:      []span{{0, slabPages}},
-		rng:        rand.New(rand.NewSource(42)),
+		rng:        rand.New(rand.NewSource(seed)),
 		maxExtSize: 1,
 	}
 	p.resident.init()
@@ -96,8 +105,6 @@ func (p *VMPool) Stats() *Stats { return &p.stats }
 // SetQueue implements Pool.
 func (p *VMPool) SetQueue(q *storage.SubQueue) { p.q = q }
 
-func (p *VMPool) queue() *storage.SubQueue { return p.q }
-
 // ResidentPages implements Pool.
 func (p *VMPool) ResidentPages() int {
 	p.mu.Lock()
@@ -106,15 +113,9 @@ func (p *VMPool) ResidentPages() int {
 }
 
 func (p *VMPool) frame(e *entry) *Frame {
-	off := e.frameOff * p.pageSize
-	return &Frame{
-		HeadPID:  e.headPID,
-		NPages:   e.npages,
-		data:     p.slab[off : off+e.npages*p.pageSize : off+e.npages*p.pageSize],
-		pageSize: p.pageSize,
-		entry:    e,
-		pool:     p,
-	}
+	f := &Frame{HeadPID: e.headPID, NPages: e.npages, pageSize: p.pageSize, entry: e, pool: p}
+	p.layout.view(f)
+	return f
 }
 
 // FixExtent implements Pool.
@@ -124,64 +125,117 @@ func (p *VMPool) FixExtent(m *simtime.Meter, pid storage.PID, npages int) (*Fram
 		return nil, err
 	}
 	if fresh {
-		// This worker is the single loader (coarse-grained latching): read
-		// the whole extent with one command while others wait.
-		off := e.frameOff * p.pageSize
-		if err := p.dev.ReadPages(m, pid, npages, p.slab[off:off+npages*p.pageSize]); err != nil {
-			e.loadErr = err
-			close(e.loaded)
-			p.release(p.frame(e))
-			return nil, err
+		// This worker is the single loader (coarse-grained latching): one
+		// read command per contiguous run of frame memory while others wait.
+		for _, s := range p.layout.segs(nil, e, 0, npages) {
+			if err = p.dev.ReadPages(m, s.PID, s.N, s.Buf); err != nil {
+				break
+			}
 		}
+		e.loadErr = err
 		close(e.loaded)
-	} else {
-		if !e.isLoaded() {
-			p.stats.Coalesces.Add(1)
-		}
-		<-e.loaded
-		if err := e.loadErr; err != nil {
-			p.release(p.frame(e))
-			return nil, err
-		}
+	}
+	if err := p.await(e); err != nil {
+		p.unpin(e)
+		return nil, err
 	}
 	return p.frame(e), nil
 }
 
-// FixExtents implements Pool (§III-D: one vectored I/O per BLOB read).
-func (p *VMPool) FixExtents(m *simtime.Meter, specs []ExtentSpec) ([]*Frame, error) {
-	return fixExtents(p, m, specs)
+// await waits until e's content is loaded, counting a fix that piggybacks
+// on another worker's in-flight load, and returns the load's error.
+func (p *VMPool) await(e *entry) error {
+	if !e.isLoaded() {
+		p.stats.Coalesces.Add(1)
+	}
+	<-e.loaded
+	return e.loadErr
 }
 
-func (p *VMPool) makeFrame(e *entry) *Frame { return p.frame(e) }
-func (p *VMPool) device() storage.Device    { return p.dev }
-
-// missSegs converts freshly admitted entries into read segments, coalescing
-// extents that are adjacent both on the device (PID) and in the slab into
-// one segment.
-func (p *VMPool) missSegs(loads []*entry) []storage.Seg {
-	sorted := append([]*entry(nil), loads...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].headPID < sorted[j].headPID })
-	var segs []storage.Seg
-	var segStart []int // slab page offset of each segment's start
-	for _, e := range sorted {
-		if n := len(segs); n > 0 &&
-			segs[n-1].PID+storage.PID(segs[n-1].N) == e.headPID &&
-			segStart[n-1]+segs[n-1].N == e.frameOff {
-			segs[n-1].N += e.npages
-			b := segStart[n-1] * p.pageSize
-			l := segs[n-1].N * p.pageSize
-			segs[n-1].Buf = p.slab[b : b+l : b+l]
-			continue
-		}
-		off := e.frameOff * p.pageSize
-		segs = append(segs, storage.Seg{
-			PID: e.headPID,
-			N:   e.npages,
-			Buf: p.slab[off : off+e.npages*p.pageSize : off+e.npages*p.pageSize],
-		})
-		segStart = append(segStart, e.frameOff)
+// FixExtents implements Pool (§III-D: one vectored I/O per BLOB read). One
+// classification pass admits every spec — hits pin immediately, misses are
+// claimed in loading state — then all misses are loaded with a single
+// vectored device submission, then in-flight entries loaded by other
+// workers are awaited.
+func (p *VMPool) FixExtents(m *simtime.Meter, specs []ExtentSpec) ([]*Frame, error) {
+	if len(specs) == 0 {
+		return nil, nil
 	}
-	return segs
+	frames := make([]*Frame, 0, len(specs))
+	var loads []*entry
+
+	unwind := func() {
+		for _, f := range frames {
+			f.Release()
+		}
+	}
+
+	// Pass 1: classify. admit never blocks on loaded, so duplicate specs
+	// and contended extents cannot deadlock the batch.
+	for _, sp := range specs {
+		e, fresh, err := p.admit(m, sp.PID, sp.NPages)
+		if err != nil {
+			// Entries we already claimed for loading still have waiters
+			// parked on their channels; finish those loads regardless. A
+			// read failure reaches them through loadErr; this caller
+			// reports the admission error.
+			_ = p.loadMisses(m, loads)
+			unwind()
+			return nil, err
+		}
+		if fresh {
+			loads = append(loads, e)
+		}
+		frames = append(frames, p.frame(e))
+	}
+
+	// Pass 2: one vectored submission for every miss.
+	if err := p.loadMisses(m, loads); err != nil {
+		unwind()
+		return nil, err
+	}
+
+	// Pass 3: wait for loads owned by other workers.
+	for _, f := range frames {
+		if err := p.await(f.entry); err != nil {
+			unwind()
+			return nil, err
+		}
+	}
+	return frames, nil
+}
+
+// loadMisses reads all freshly claimed entries with one ReadVec submission
+// and publishes them — or, if the read fails, publishes the failure to
+// every waiter.
+func (p *VMPool) loadMisses(m *simtime.Meter, loads []*entry) error {
+	if len(loads) == 0 {
+		return nil
+	}
+	segs := p.layout.missSegs(loads)
+	var err error
+	if p.q != nil {
+		// One queue submission for the whole miss set: the cold read's
+		// device work overlaps with other workers' in-flight submissions
+		// up to the queue depth, instead of serializing on the device.
+		err = p.q.Wait(p.q.Submit(m, storage.Vec{Reads: segs}))
+	} else {
+		err = storage.ReadVec(p.dev, m, segs)
+	}
+	if err == nil {
+		p.stats.FixBatches.Add(1)
+		p.stats.ReadVecSegments.Add(int64(len(segs)))
+		pages := 0
+		for _, e := range loads {
+			pages += e.npages
+		}
+		p.stats.FixBatchPages.Add(int64(pages))
+	}
+	for _, e := range loads {
+		e.loadErr = err
+		close(e.loaded)
+	}
+	return err
 }
 
 // CreateExtent implements Pool.
@@ -191,11 +245,12 @@ func (p *VMPool) CreateExtent(m *simtime.Meter, pid storage.PID, npages int) (*F
 		return nil, err
 	}
 	if !fresh {
-		p.release(p.frame(e))
+		p.unpin(e)
 		return nil, fmt.Errorf("buffer: CreateExtent(%d): extent already resident", pid)
 	}
-	off := e.frameOff * p.pageSize
-	clear(p.slab[off : off+npages*p.pageSize])
+	for _, s := range p.layout.segs(nil, e, 0, npages) {
+		clear(s.Buf)
+	}
 	// Pages become dirty only as the caller writes content, so the
 	// commit-time flush writes exactly the dirty pages (§III-C).
 	e.preventEvict.Store(true)
@@ -227,32 +282,24 @@ func (p *VMPool) admit(m *simtime.Meter, pid storage.PID, npages int) (*entry, b
 			continue
 		}
 
-		// Miss: reserve frames under the structural mutex.
-		t0 := time.Now() //blobvet:allow real lock-wait metering for LockWaitNs stats; never replayed
+		// Miss: place frames under the structural mutex. The allows sit on
+		// their own lines: an allow also covers the line after it, which
+		// must not be the placement call lockio checks.
+		//blobvet:allow real lock-wait metering for LockWaitNs stats; never replayed
+		t0 := time.Now()
 		p.mu.Lock()
-		p.stats.LockWaitNs.Add(time.Since(t0).Nanoseconds()) //blobvet:allow real lock-wait metering for LockWaitNs stats; never replayed
-		off, err := p.reserveLocked(m, npages)
-		if err != nil {
+		//blobvet:allow real lock-wait metering for LockWaitNs stats; never replayed
+		p.stats.LockWaitNs.Add(time.Since(t0).Nanoseconds())
+		e, err := p.placeLocked(m, sh, pid, npages)
+		if e == nil {
 			p.mu.Unlock()
-			return nil, false, err
-		}
-		// reserveLocked may drop mu during eviction write-backs, so another
-		// worker can have admitted pid meanwhile: give the span back and
-		// retry as a hit.
-		sh.Lock()
-		if sh.m[pid] != nil {
-			sh.Unlock()
-			p.freeSpanLocked(off, npages)
-			p.mu.Unlock()
-			continue
-		}
-		e = &entry{
-			headPID:  pid,
-			npages:   npages,
-			frameOff: off,
-			loaded:   make(chan struct{}),
+			if err != nil {
+				return nil, false, err
+			}
+			continue // admitted by another worker meanwhile: retry as a hit
 		}
 		e.pins.Store(1)
+		sh.Lock()
 		sh.m[pid] = e
 		sh.Unlock()
 		p.orderIdx[pid] = len(p.order)
@@ -267,71 +314,45 @@ func (p *VMPool) admit(m *simtime.Meter, pid storage.PID, npages int) (*entry, b
 	}
 }
 
-// reserveLocked finds a contiguous frame range of npages, evicting random
-// extents until one is available. It may drop and re-acquire p.mu while an
-// eviction writes back a dirty victim.
-func (p *VMPool) reserveLocked(m *simtime.Meter, npages int) (int, error) {
+// placeLocked creates a loading entry for the extent with frame memory
+// from the layout, evicting random extents until the resident budget and
+// the layout both have room. Evictions may drop and re-acquire p.mu, so it
+// returns (nil, nil) when another worker admitted pid meanwhile.
+func (p *VMPool) placeLocked(m *simtime.Meter, sh *poolShard, pid storage.PID, npages int) (*entry, error) {
 	if npages > p.numPages {
-		return 0, fmt.Errorf("buffer: extent of %d pages exceeds pool of %d: %w",
+		return nil, fmt.Errorf("buffer: extent of %d pages exceeds pool of %d: %w",
 			npages, p.numPages, ErrPoolFull)
 	}
-	// Enforce the resident budget first, then place the extent in the
-	// over-provisioned slab; evict further only if placement still fails.
+	e := &entry{headPID: pid, npages: npages, loaded: make(chan struct{})}
+	limit := 64 + 16*len(p.order)
 	for attempts := 0; ; attempts++ {
+		sh.RLock()
+		raced := sh.m[pid] != nil
+		sh.RUnlock()
+		if raced {
+			return nil, nil
+		}
 		if p.residentPg+npages <= p.numPages {
-			if off, ok := p.allocSpanLocked(npages); ok {
-				return off, nil
+			ok, err := p.layout.place(e)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				return e, nil
 			}
 		}
-		if attempts > 64+16*len(p.order) {
-			return 0, fmt.Errorf("buffer: cannot fit %d pages: %w", npages, ErrPoolFull)
+		if attempts > limit {
+			return nil, fmt.Errorf("buffer: cannot fit %d pages: %w", npages, ErrPoolFull)
 		}
 		if err := p.evictOneLocked(m); err != nil {
-			return 0, err
+			return nil, err
 		}
-	}
-}
-
-func (p *VMPool) allocSpanLocked(n int) (int, bool) {
-	for i := range p.spans {
-		if p.spans[i].n >= n {
-			off := p.spans[i].off
-			p.spans[i].off += n
-			p.spans[i].n -= n
-			if p.spans[i].n == 0 {
-				p.spans = append(p.spans[:i], p.spans[i+1:]...)
-			}
-			return off, true
-		}
-	}
-	return 0, false
-}
-
-func (p *VMPool) freeSpanLocked(off, n int) {
-	// Insert sorted by offset and coalesce with neighbors.
-	i := 0
-	for i < len(p.spans) && p.spans[i].off < off {
-		i++
-	}
-	p.spans = append(p.spans, span{})
-	copy(p.spans[i+1:], p.spans[i:])
-	p.spans[i] = span{off, n}
-	// Coalesce with next, then previous.
-	if i+1 < len(p.spans) && p.spans[i].off+p.spans[i].n == p.spans[i+1].off {
-		p.spans[i].n += p.spans[i+1].n
-		p.spans = append(p.spans[:i+1], p.spans[i+2:]...)
-	}
-	if i > 0 && p.spans[i-1].off+p.spans[i-1].n == p.spans[i].off {
-		p.spans[i-1].n += p.spans[i].n
-		p.spans = append(p.spans[:i], p.spans[i+1:]...)
 	}
 }
 
 // evictOneLocked samples extents at random and evicts the first eligible
 // one, accepting a candidate of size s with probability s/maxExtSize — the
 // paper's fairness rule `if (rand(MAX_EXT_SIZE) < extent_size[pid]) Evict()`.
-// Dirty victims are written back with p.mu dropped: the claim (pin-count
-// CAS) keeps the frame stable without the lock.
 func (p *VMPool) evictOneLocked(m *simtime.Meter) error {
 	for tries := 0; tries < 8*len(p.order)+64; tries++ {
 		if len(p.order) == 0 {
@@ -351,48 +372,54 @@ func (p *VMPool) evictOneLocked(m *simtime.Meter) error {
 			e.unclaimEvict()
 			continue
 		}
-		if e.dirty() {
-			// Victim claimed, lock dropped, write, reconfirm. The claim
-			// blocks new pins, so the content cannot change underneath.
-			p.mu.Unlock()
-			err := p.writeBack(m, e)
-			p.mu.Lock()
-			if err != nil {
-				e.unclaimEvict()
-				return err
-			}
-		}
-		p.removeLocked(e)
-		p.stats.Evictions.Add(1)
-		return nil
+		return p.evictClaimedLocked(m, e)
 	}
 	return fmt.Errorf("buffer: all extents pinned or protected: %w", ErrPoolFull)
 }
 
-// writeBack flushes the dirty range of a pinned or evict-claimed entry. It
-// takes no pool lock: the frame range is immutable once assigned and the
-// caller's pin/claim keeps it alive.
+// evictClaimedLocked evicts an entry this worker has claimed. A dirty
+// victim is written back with p.mu dropped — victim claimed, lock dropped,
+// write, reconfirm: the claim blocks new pins, so the content cannot change
+// underneath.
+func (p *VMPool) evictClaimedLocked(m *simtime.Meter, e *entry) error {
+	if e.dirty() {
+		p.mu.Unlock()
+		err := p.writeBack(m, e)
+		p.mu.Lock()
+		if err != nil {
+			e.unclaimEvict()
+			return err
+		}
+	}
+	p.removeLocked(e)
+	p.stats.Evictions.Add(1)
+	return nil
+}
+
+// writeBack flushes the dirty range of a pinned or evict-claimed entry, one
+// command per contiguous run of frame memory. It takes no pool lock: the
+// frame memory is fixed once placed and the caller's pin/claim keeps it.
 func (p *VMPool) writeBack(m *simtime.Meter, e *entry) error {
 	lo, hi := e.takeDirty()
 	if lo == hi {
 		return nil
 	}
-	off := (e.frameOff + lo) * p.pageSize
-	buf := p.slab[off : off+(hi-lo)*p.pageSize]
-	var err error
+	segs := p.layout.segs(nil, e, lo, hi)
 	if p.q != nil {
-		// The contiguous dirty range goes out as one queue submission, so
-		// eviction write-back overlaps other workers' in-flight I/O. The
-		// caller still waits: the claim/dirty bookkeeping needs the result.
-		err = p.q.Wait(p.q.Submit(m, storage.Vec{
-			Writes: []storage.Seg{{PID: e.headPID + storage.PID(lo), N: hi - lo, Buf: buf}},
-		}))
+		// The dirty range goes out as one queue submission, so eviction
+		// write-back overlaps other workers' in-flight I/O. The caller
+		// still waits: the claim/dirty bookkeeping needs the result.
+		if err := p.q.Wait(p.q.Submit(m, storage.Vec{Writes: segs})); err != nil {
+			e.markDirty(lo, hi) // restore so the data is not silently lost
+			return err
+		}
 	} else {
-		err = p.dev.WritePages(m, e.headPID+storage.PID(lo), hi-lo, buf)
-	}
-	if err != nil {
-		e.markDirty(lo, hi) // restore so the data is not silently lost
-		return err
+		for _, s := range segs {
+			if err := p.dev.WritePages(m, s.PID, s.N, s.Buf); err != nil {
+				e.markDirty(int(s.PID-e.headPID), hi)
+				return err
+			}
+		}
 	}
 	p.stats.Writebacks.Add(1)
 	return nil
@@ -418,7 +445,7 @@ func (p *VMPool) removeLocked(e *entry) {
 		}
 		delete(p.orderIdx, e.headPID)
 	}
-	p.freeSpanLocked(e.frameOff, e.npages)
+	p.layout.free(e)
 	p.residentPg -= e.npages
 }
 
@@ -462,35 +489,26 @@ func (p *VMPool) EvictAll(m *simtime.Meter) error {
 	defer p.mu.Unlock()
 	for _, pid := range append([]storage.PID(nil), p.order...) {
 		e := p.resident.get(pid)
-		if e == nil || e.preventEvict.Load() || !e.isLoaded() {
+		if e == nil || e.preventEvict.Load() || !e.isLoaded() || !e.claimEvict() {
 			continue
 		}
-		if !e.claimEvict() {
-			continue
+		if err := p.evictClaimedLocked(m, e); err != nil {
+			return err
 		}
-		if e.dirty() {
-			p.mu.Unlock()
-			err := p.writeBack(m, e)
-			p.mu.Lock()
-			if err != nil {
-				e.unclaimEvict()
-				return err
-			}
-		}
-		p.removeLocked(e)
-		p.stats.Evictions.Add(1)
 	}
 	return nil
 }
 
-func (p *VMPool) release(f *Frame) {
-	e := f.entry
+func (p *VMPool) release(f *Frame) { p.unpin(f.entry) }
+
+// unpin drops one pin of e; the last pin of a failed load unlinks the
+// poisoned entry.
+func (p *VMPool) unpin(e *entry) {
 	n := e.pins.Add(-1)
 	if n < 0 {
 		panic("buffer: double release")
 	}
 	if n == 0 && e.isLoaded() && e.loadErr != nil {
-		// Last pin of a failed load: unlink the poisoned entry.
 		p.mu.Lock()
 		if e.claimEvict() {
 			p.removeLocked(e)
@@ -498,3 +516,96 @@ func (p *VMPool) release(f *Frame) {
 		p.mu.Unlock()
 	}
 }
+
+// slabLayout is the vmcache frame layout (§IV-A): all frame memory lives
+// in one slab and an extent always occupies a contiguous frame range, so
+// the whole extent moves with one device command.
+//
+// Like vmcache, frame placement is a *virtual* address concern: the real
+// system reserves virtual space far larger than physical memory and lets
+// the page table scatter physical pages, so a contiguous extent never
+// fails on fragmentation. Go cannot remap pages, so the slab is
+// over-provisioned 2x instead: a first-fit span allocator works in the
+// roomy virtual slab while the pool enforces the resident budget.
+type slabLayout struct {
+	pageSize int
+	slab     []byte
+	spans    []span // free slab ranges, sorted by offset
+}
+
+type span struct{ off, n int }
+
+func newSlabLayout(pageSize, numPages int) frameLayout {
+	slabPages := numPages * 2
+	return &slabLayout{
+		pageSize: pageSize,
+		slab:     make([]byte, slabPages*pageSize),
+		spans:    []span{{0, slabPages}},
+	}
+}
+
+// mem returns the slab bytes of n frames starting at frame off.
+func (l *slabLayout) mem(off, n int) []byte {
+	b, e := off*l.pageSize, (off+n)*l.pageSize
+	return l.slab[b:e:e]
+}
+
+func (l *slabLayout) place(e *entry) (bool, error) {
+	for i := range l.spans {
+		if l.spans[i].n >= e.npages {
+			e.frameOff = l.spans[i].off
+			l.spans[i].off += e.npages
+			l.spans[i].n -= e.npages
+			if l.spans[i].n == 0 {
+				l.spans = append(l.spans[:i], l.spans[i+1:]...)
+			}
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+func (l *slabLayout) free(e *entry) {
+	off, n := e.frameOff, e.npages
+	// Insert sorted by offset and coalesce with neighbors.
+	i := 0
+	for i < len(l.spans) && l.spans[i].off < off {
+		i++
+	}
+	l.spans = append(l.spans, span{})
+	copy(l.spans[i+1:], l.spans[i:])
+	l.spans[i] = span{off, n}
+	// Coalesce with next, then previous.
+	if i+1 < len(l.spans) && l.spans[i].off+l.spans[i].n == l.spans[i+1].off {
+		l.spans[i].n += l.spans[i+1].n
+		l.spans = append(l.spans[:i+1], l.spans[i+2:]...)
+	}
+	if i > 0 && l.spans[i-1].off+l.spans[i-1].n == l.spans[i].off {
+		l.spans[i-1].n += l.spans[i].n
+		l.spans = append(l.spans[:i], l.spans[i+1:]...)
+	}
+}
+
+func (l *slabLayout) segs(dst []storage.Seg, e *entry, lo, hi int) []storage.Seg {
+	return append(dst, storage.Seg{PID: e.headPID + storage.PID(lo), N: hi - lo, Buf: l.mem(e.frameOff+lo, hi-lo)})
+}
+
+// missSegs coalesces extents that are adjacent both on the device (PID)
+// and in the slab into one segment.
+func (l *slabLayout) missSegs(loads []*entry) []storage.Seg {
+	sorted := append([]*entry(nil), loads...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].headPID < sorted[j].headPID })
+	var segs []storage.Seg
+	for i := 0; i < len(sorted); {
+		head := sorted[i]
+		n := head.npages
+		for i++; i < len(sorted) && sorted[i].headPID == head.headPID+storage.PID(n) &&
+			sorted[i].frameOff == head.frameOff+n; i++ {
+			n += sorted[i].npages
+		}
+		segs = append(segs, storage.Seg{PID: head.headPID, N: n, Buf: l.mem(head.frameOff, n)})
+	}
+	return segs
+}
+
+func (l *slabLayout) view(f *Frame) { f.data = l.mem(f.entry.frameOff, f.NPages) }

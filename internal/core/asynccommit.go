@@ -321,7 +321,7 @@ func (db *DB) finishBatch(batch []*Txn) {
 		db.ckptMu.Lock()
 		flushed := live[:0]
 		for _, t := range live {
-			if err := t.writer.CommitNoSync(nil, t.id); err != nil {
+			if err := t.log().CommitNoSync(nil, t.id); err != nil {
 				db.failCommit(t, err)
 				continue
 			}

@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"blobdb/internal/blob"
+	"blobdb/internal/buffer"
 	"blobdb/internal/storage"
+	"blobdb/internal/wal"
 )
 
 const ps = storage.DefaultPageSize
@@ -377,5 +380,53 @@ func TestDesignSummary(t *testing.T) {
 	s := DesignSummary()
 	if s["Duplicated copies"] == "" || s["Max size"] == "" {
 		t.Error("DesignSummary missing fields")
+	}
+}
+
+// TestReadOnlyTxnTakesNoLogBuffer: a WAL writer holds a pooled buffer of
+// wal.DefaultBufferCap bytes, so a read-only transaction must never take
+// one. With the pool emptied by GC, a transaction that took a writer at
+// Begin would allocate a whole buffer.
+func TestReadOnlyTxnTakesNoLogBuffer(t *testing.T) {
+	db := openTest(t, testOpts())
+	db.CreateRelation("image")
+	content := bytes.Repeat([]byte{0xAB}, 8<<10)
+	tx := db.Begin(nil)
+	if err := putBlob(tx, "image", []byte("k"), content); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+
+	const txns = 16
+	var before, after runtime.MemStats
+	// Two cycles empty a sync.Pool: the first moves its items to the
+	// victim cache, the second drops them.
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < txns; i++ {
+		tx := db.Begin(nil)
+		if _, err := tx.BlobState("image", []byte("k")); err != nil {
+			t.Fatal(err)
+		}
+		err := tx.ReadBlob("image", []byte("k"), func(v *buffer.BlobView) error {
+			if v.Len() != len(content) {
+				return fmt.Errorf("view of %d bytes, want %d", v.Len(), len(content))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			mustCommit(t, tx)
+		} else if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	delta := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(wal.DefaultBufferCap / 8); delta >= limit {
+		t.Errorf("%d read-only txns allocated %d bytes (limit %d): a WAL buffer was taken", txns, delta, limit)
 	}
 }

@@ -170,7 +170,7 @@ func (t *Txn) tryDedup(st *blob.State, p *blob.Pending) *blob.State {
 	// Log the increments under the sealing transaction's id — outside the
 	// ledger mutex (the append can flush, and a flush can checkpoint,
 	// which snapshots the ledger). The seq fence keeps replay exact.
-	if _, err := t.writer.AppendLSN(t.meter, t.id, wal.RecRefDelta, encodeRefDelta(seq, entries)); err != nil {
+	if _, err := t.log().AppendLSN(t.meter, t.id, wal.RecRefDelta, encodeRefDelta(seq, entries)); err != nil {
 		t.db.undoShares(t.id, specs)
 		return nil
 	}

@@ -25,7 +25,7 @@ type Txn struct {
 	id     uint64
 	ctx    context.Context
 	meter  *simtime.Meter
-	writer *wal.Writer
+	writer *wal.Writer // taken on the first log append; see log
 	done   bool
 
 	pendings []*blob.Pending
@@ -68,17 +68,26 @@ func (db *DB) BeginCtx(ctx context.Context, meter *simtime.Meter) *Txn {
 		ctx = context.Background()
 	}
 	t := &Txn{
-		db:     db,
-		id:     db.nextTxn.Add(1),
-		ctx:    ctx,
-		meter:  meter,
-		writer: db.wal.NewWriter(),
+		db:    db,
+		id:    db.nextTxn.Add(1),
+		ctx:   ctx,
+		meter: meter,
 	}
 	// Register with the reclaimer: while this transaction lives, extents
 	// freed by concurrent commits stay resident and unrecycled, so any
 	// Blob State snapshot it captures keeps reading stable bytes.
 	db.beginTxn(t.id)
 	return t
+}
+
+// log returns the transaction's WAL writer, taking one from the log
+// manager on first use. A writer holds a pooled buffer of
+// wal.DefaultBufferCap bytes, so read-only transactions never take one.
+func (t *Txn) log() *wal.Writer {
+	if t.writer == nil {
+		t.writer = t.db.wal.NewWriter()
+	}
+	return t.writer
 }
 
 // Context returns the context the transaction was started with.
@@ -156,7 +165,7 @@ func (t *Txn) applyTree(r *Relation, key, taggedValue []byte) {
 func (t *Txn) stageWrite(r *Relation, key, taggedValue []byte, recType wal.RecType) error {
 	t.applyTree(r, key, taggedValue)
 	payload := heapPutPayload(r.name, key, taggedValue)
-	if _, err := t.writer.AppendLSN(t.meter, t.id, recType, payload); err != nil {
+	if _, err := t.log().AppendLSN(t.meter, t.id, recType, payload); err != nil {
 		return err
 	}
 	return nil
@@ -245,7 +254,7 @@ func (t *Txn) newBlobWriterOpts(ctx context.Context, relName string, key []byte,
 	if t.db.opts.PhysicalBlobLog {
 		// Our.physlog baseline: the blob content also goes through the WAL.
 		tee = func(chunk []byte) error {
-			return t.writer.AppendBlobData(flushMeter, t.id, chunk)
+			return t.log().AppendBlobData(flushMeter, t.id, chunk)
 		}
 	}
 	keyCopy := append([]byte(nil), key...)
@@ -477,7 +486,7 @@ func (t *Txn) UpdateBlob(relName string, key []byte, off uint64, data []byte, sc
 	t.pendings = append(t.pendings, res.Pending)
 	t.frees = append(t.frees, res.Frees...)
 	if res.Delta != nil {
-		if _, err := t.writer.AppendLSN(t.meter, t.id, wal.RecBlobDelta, res.Delta); err != nil {
+		if _, err := t.log().AppendLSN(t.meter, t.id, wal.RecBlobDelta, res.Delta); err != nil {
 			return err
 		}
 		t.wrote = true
@@ -554,9 +563,10 @@ func (t *Txn) Commit() error {
 		}
 		return nil
 	}
-	defer t.writer.Close()
+	w := t.log()
+	defer w.Close()
 	t.db.ckptMu.Lock()
-	err := t.writer.Commit(t.meter, t.id)
+	err := w.Commit(t.meter, t.id)
 	if err == nil {
 		for _, p := range t.pendings {
 			if err = p.Flush(t.meter); err != nil {
@@ -695,9 +705,10 @@ func CrashBeforeExtentFlush(t *Txn) error {
 		return err
 	}
 	t.done = true
-	defer t.writer.Close()
+	w := t.log()
+	defer w.Close()
 	t.db.endTxn(t.id)
-	return t.writer.Commit(t.meter, t.id)
+	return w.Commit(t.meter, t.id)
 }
 
 // WriteAmplification reports device bytes written divided by logical blob

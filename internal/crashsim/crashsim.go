@@ -465,12 +465,7 @@ func (r *runner) verifyRecovery() (*core.RecoveryReport, error) {
 // seedEviction reseeds the pool's eviction sampling so pool decisions
 // replay exactly for a given schedule.
 func seedEviction(db *core.DB, seed int64) {
-	switch p := db.Pool().(type) {
-	case *buffer.VMPool:
-		p.SetEvictionSeed(seed)
-	case *buffer.HTPool:
-		p.SetEvictionSeed(seed)
-	}
+	db.Pool().(*buffer.VMPool).SetEvictionSeed(seed)
 }
 
 // recoverAndCheck recovers a frozen crash image into a fresh engine,

@@ -300,9 +300,9 @@ func (w *Manager) NewWriter() *Writer {
 }
 
 // Close returns the writer's buffer to the pool. The writer must not be
-// used afterwards.
+// used afterwards. Closing a nil writer does nothing.
 func (l *Writer) Close() {
-	if l.buf == nil {
+	if l == nil || l.buf == nil {
 		return
 	}
 	b := l.buf[:0]
