@@ -10,7 +10,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -23,127 +22,7 @@ import (
 func main() {
 	exp := flag.String("exp", "", "experiment id to run (or 'all')")
 	list := flag.Bool("list", false, "list experiment ids")
-	concreadJSON := flag.String("concread-json", "", "run the concurrent-read benchmark and write the JSON report to this path")
-	mixedJSON := flag.String("mixedbench-json", "", "run the mixed read/write tail-latency benchmark and write the JSON report to this path")
-	shardJSON := flag.String("shardbench-json", "", "run the multi-shard commit-scaling benchmark and write the JSON report to this path")
-	replJSON := flag.String("replbench-json", "", "run the replication-lag benchmark and write the JSON report to this path")
-	dedupJSON := flag.String("dedupbench-json", "", "run the dedup + online-defragmentation benchmark and write the JSON report to this path")
 	flag.Parse()
-
-	if *dedupJSON != "" {
-		rep, err := bench.DedupDefrag(bench.DedupBenchOpts{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dedupbench: %v\n", err)
-			os.Exit(1)
-		}
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dedupbench: %v\n", err)
-			os.Exit(1)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile(*dedupJSON, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "dedupbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("dedup ratio %.2fx (%d hits), frag score %.3f -> %.3f over %d rounds (%d moves, %d pages off the HWM)\n",
-			rep.DedupRatio, rep.DedupHits, rep.ScorePreDefrag, rep.ScorePostDefrag,
-			len(rep.Rounds), rep.TotalMoved, rep.HWMPagesReclaimed)
-		fmt.Printf("read p99 during relocation: %.0fus vs %.0fus baseline (%+.1f%%)\n",
-			rep.DefragReadP99Us, rep.BaselineReadP99Us, 100*rep.ReadP99Regression)
-		fmt.Printf("wrote %s\n", *dedupJSON)
-		return
-	}
-
-	if *replJSON != "" {
-		rep, err := bench.ReplLag(bench.ReplBenchOpts{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "replbench: %v\n", err)
-			os.Exit(1)
-		}
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "replbench: %v\n", err)
-			os.Exit(1)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile(*replJSON, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "replbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("replica apply %.1f MB/s, max lag %d LSNs, catch-up %.1fms\n",
-			rep.ReplicaMBs, rep.MaxLagLSN, rep.CatchupMillis)
-		fmt.Printf("wrote %s\n", *replJSON)
-		return
-	}
-
-	if *shardJSON != "" {
-		rep, err := bench.ShardScaling(bench.ShardBenchOpts{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shardbench: %v\n", err)
-			os.Exit(1)
-		}
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shardbench: %v\n", err)
-			os.Exit(1)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile(*shardJSON, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "shardbench: %v\n", err)
-			os.Exit(1)
-		}
-		for key, ratio := range rep.ScalingVsOneShard {
-			fmt.Printf("commit throughput at %s: %.2fx one shard\n", key, ratio)
-		}
-		fmt.Printf("wrote %s (%d scenarios)\n", *shardJSON, len(rep.Scenarios))
-		return
-	}
-
-	if *mixedJSON != "" {
-		rep, err := bench.MixedLoad(bench.MixedBenchOpts{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mixedbench: %v\n", err)
-			os.Exit(1)
-		}
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mixedbench: %v\n", err)
-			os.Exit(1)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile(*mixedJSON, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "mixedbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("cold read %.2fx, read p99 %.2fx, write p99 %.2fx, %.2f fewer copies/read\n",
-			rep.ColdReadSpeedup, rep.ReadP99Speedup, rep.WriteP99Speedup, rep.CopyReduction)
-		fmt.Printf("wrote %s (%d scenarios)\n", *mixedJSON, len(rep.Scenarios))
-		return
-	}
-
-	if *concreadJSON != "" {
-		rep, err := bench.ConcurrentRead(bench.ConcreadOpts{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "concread: %v\n", err)
-			os.Exit(1)
-		}
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "concread: %v\n", err)
-			os.Exit(1)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile(*concreadJSON, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "concread: %v\n", err)
-			os.Exit(1)
-		}
-		for key, ratio := range rep.ColdSpeedupAt16 {
-			fmt.Printf("cold @16 readers, %s: batched is %.1fx sequential\n", key, ratio)
-		}
-		fmt.Printf("wrote %s (%d scenarios)\n", *concreadJSON, len(rep.Scenarios))
-		return
-	}
 
 	exps := bench.Experiments()
 	ids := make([]string, 0, len(exps))

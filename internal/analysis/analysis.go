@@ -21,6 +21,8 @@
 //
 //	//blobvet:allow <reason>
 //
+// An allow covers exactly one line: a comment trailing code covers its
+// own line, and a comment alone on its line covers the next line.
 // The reason is mandatory — a bare //blobvet:allow is itself reported —
 // so every intentional exception to an engine invariant is auditable
 // in-tree. Suppression is applied by the drivers, not by analyzers.
@@ -177,7 +179,8 @@ const allowPrefix = "//blobvet:allow"
 // Suppressions indexes //blobvet:allow comments of one package.
 type Suppressions struct {
 	// allowed maps "file:line" to the reasoned allow entries covering that
-	// line (the comment's own line and the line below).
+	// line: its own line for a trailing comment, the next line for a
+	// comment alone on its line.
 	allowed map[string][]*allowEntry
 	// entries holds every reasoned allow in scan order.
 	entries []*allowEntry
@@ -193,10 +196,13 @@ type allowEntry struct {
 	used bool // suppressed at least one diagnostic this run
 }
 
-// ScanSuppressions collects the allow comments of files.
+// ScanSuppressions collects the allow comments of files. A reasoned allow
+// that trails code covers its own line only; one alone on its line covers
+// the next line only.
 func ScanSuppressions(fset *token.FileSet, files []*ast.File) *Suppressions {
 	s := &Suppressions{allowed: map[string][]*allowEntry{}}
 	for _, f := range files {
+		var codeCol map[int]int
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := c.Text
@@ -211,21 +217,48 @@ func ScanSuppressions(fset *token.FileSet, files []*ast.File) *Suppressions {
 				}
 				e := &allowEntry{pos: c.Pos(), test: IsTestFile(fset, c.Pos())}
 				s.entries = append(s.entries, e)
-				for _, key := range []string{
-					fmt.Sprintf("%s:%d", pos.Filename, pos.Line),
-					fmt.Sprintf("%s:%d", pos.Filename, pos.Line+1),
-				} {
-					s.allowed[key] = append(s.allowed[key], e)
+				if codeCol == nil {
+					codeCol = firstCodeColumns(fset, f)
 				}
+				line := pos.Line + 1
+				if col, ok := codeCol[pos.Line]; ok && col < pos.Column {
+					line = pos.Line
+				}
+				key := fmt.Sprintf("%s:%d", pos.Filename, line)
+				s.allowed[key] = append(s.allowed[key], e)
 			}
 		}
 	}
 	return s
 }
 
+// firstCodeColumns maps each line of f that holds code to the column of
+// its first non-comment token, so a trailing comment (code before it on
+// its line) can be told from a comment alone on its line.
+func firstCodeColumns(fset *token.FileSet, f *ast.File) map[int]int {
+	cols := map[int]int{}
+	note := func(p token.Position) {
+		if col, ok := cols[p.Line]; !ok || p.Column < col {
+			cols[p.Line] = p.Column
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.CommentGroup, *ast.Comment:
+			return false
+		}
+		note(fset.Position(n.Pos()))
+		// The node's last character: a closing brace or parenthesis may
+		// be the only code on its line.
+		note(fset.Position(n.End() - 1))
+		return true
+	})
+	return cols
+}
+
 // Suppressed reports whether a diagnostic at pos is covered by a reasoned
-// allow comment (same line as the comment, or the line below it), and
-// marks the covering allows used for the stale audit.
+// allow comment (see ScanSuppressions for the one-line scope), and marks
+// the covering allows used for the stale audit.
 func (s *Suppressions) Suppressed(fset *token.FileSet, pos token.Pos) bool {
 	p := fset.Position(pos)
 	entries := s.allowed[fmt.Sprintf("%s:%d", p.Filename, p.Line)]

@@ -143,8 +143,9 @@ func Expand(analyzers []*analysis.Analyzer) []*analysis.Analyzer {
 
 // RunPackage applies analyzers (expanded with their Requires closure, in
 // dependency order) to pkg, reading and writing object facts through
-// facts, and returns the surviving diagnostics: suppressed ones
-// (reasoned //blobvet:allow on the same or preceding line) are dropped,
+// facts, and returns the surviving diagnostics: suppressed ones are
+// dropped (a reasoned //blobvet:allow covers exactly one line: its own
+// when it trails code, the next one when it stands alone on its line),
 // every reason-less allow comment is itself reported under the
 // pseudo-analyzer name "allow", and so is every reasoned allow that no
 // longer suppresses anything (the stale-allow audit; _test.go files are

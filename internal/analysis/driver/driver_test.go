@@ -58,8 +58,8 @@ func run(t *testing.T, pkg *driver.Package) []driver.Diag {
 	return diags
 }
 
-// A reasoned //blobvet:allow suppresses diagnostics on its own line and
-// the line below it, and nowhere else.
+// A reasoned //blobvet:allow suppresses diagnostics on exactly one line:
+// the line below it when it stands alone, its own line when it trails code.
 func TestAllowSuppression(t *testing.T) {
 	pkg := loadSnippet(t, `package p
 
@@ -84,8 +84,7 @@ func f() {
 		lines = append(lines, d.Pos.Line)
 	}
 	// Lines 8 (under the reasoned comment) and 9 (trailing comment form)
-	// are allowed — an allow covers its own line and the one after it —
-	// while lines 6 and 11 must still be reported.
+	// are allowed, while lines 6 and 11 must still be reported.
 	want := []int{6, 11}
 	if len(lines) != len(want) {
 		t.Fatalf("got diagnostics on lines %v, want %v", lines, want)
@@ -94,6 +93,40 @@ func f() {
 		if lines[i] != want[i] {
 			t.Fatalf("got diagnostics on lines %v, want %v", lines, want)
 		}
+	}
+}
+
+// A trailing allow covers its own line only: it must not hide a
+// diagnostic on the line below, whatever the last token of its line. An
+// allow trailing a line with nothing to suppress is stale.
+func TestTrailingAllowCoversOnlyItsLine(t *testing.T) {
+	pkg := loadSnippet(t, `package p
+
+func bad() {}
+
+func f() {
+	bad() //blobvet:allow trailing form covers this line only
+	bad()
+	if true { //blobvet:allow trailing an opening brace
+		bad()
+	}
+}
+`)
+	diags := run(t, pkg)
+	var calls, stale []int
+	for _, d := range diags {
+		switch d.Analyzer {
+		case "calltrap":
+			calls = append(calls, d.Pos.Line)
+		case "allow":
+			stale = append(stale, d.Pos.Line)
+		}
+	}
+	if len(calls) != 2 || calls[0] != 7 || calls[1] != 9 {
+		t.Errorf("calltrap diagnostics on lines %v, want [7 9]", calls)
+	}
+	if len(stale) != 1 || stale[0] != 8 {
+		t.Errorf("stale allows on lines %v, want [8]", stale)
 	}
 }
 

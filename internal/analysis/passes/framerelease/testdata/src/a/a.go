@@ -176,7 +176,7 @@ func guardedRelease(p *buffer.Pool) {
 	}
 }
 
-// accumulate is the bench/concread shape: per-iteration frames move into
+// accumulate is the sequential-fix shape: per-iteration frames move into
 // a slice, which is released element-wise on both the error path and the
 // happy path.
 func accumulate(p *buffer.Pool, n int) error {

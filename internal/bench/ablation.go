@@ -214,8 +214,6 @@ func Experiments() map[string]func() (*Result, error) {
 		"ablation-tail":   AblationTailVsTier,
 		"ablation-update": AblationUpdateSchemes,
 		"ablation-tiers":  AblationTierSweep,
-		"pr3-concread":    ConcreadResult,
-		"pr8-mixed":       MixedResult,
 	}
 }
 

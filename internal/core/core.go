@@ -51,13 +51,11 @@ type options struct {
 	WorkerLocalAliasPages int
 	// WALBufferCap sizes per-transaction WAL buffers (default 10 MB).
 	WALBufferCap int
-	// CheckpointThreshold triggers a checkpoint after this many logged
-	// bytes (default: half the log region).
-	CheckpointThreshold int64
 	// AsyncCommit enables the background commit pipeline (asynccommit.go):
 	// hashing, WAL flush, and extent flush run on a committer goroutine and
-	// Commit returns at enqueue. Used by the throughput benchmarks; tests
-	// needing a durability point call DrainCommits.
+	// Commit returns at enqueue. The blob service serves through it and
+	// acks each write with CommitWait; tests needing a durability point
+	// call DrainCommits.
 	AsyncCommit bool
 	// QueueDepth sizes the device submission/completion queue (default
 	// storage.DefaultQueueDepth).
@@ -146,11 +144,9 @@ func open(o options) (*DB, error) {
 	if o.WALBufferCap > 0 {
 		db.wal.SetBufferCap(o.WALBufferCap)
 	}
-	if o.CheckpointThreshold > 0 {
-		db.wal.CheckpointThreshold = o.CheckpointThreshold
-	} else {
-		db.wal.CheckpointThreshold = int64(o.LogPages) * int64(o.Dev.PageSize()) / 2
-	}
+	// Checkpoint once half the log region has been written since the last
+	// one.
+	db.wal.CheckpointThreshold = int64(o.LogPages) * int64(o.Dev.PageSize()) / 2
 	db.wal.OnCheckpoint = db.writeCheckpoint
 
 	if o.InlineQueue {

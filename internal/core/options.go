@@ -42,10 +42,6 @@ func WithAliasPages(n int) Option { return func(o *options) { o.WorkerLocalAlias
 // 10 MB).
 func WithWALBufferCap(n int) Option { return func(o *options) { o.WALBufferCap = n } }
 
-// WithCheckpointThreshold triggers a checkpoint after this many logged
-// bytes (default: half the log region).
-func WithCheckpointThreshold(n int64) Option { return func(o *options) { o.CheckpointThreshold = n } }
-
 // WithAsyncCommit enables the background commit pipeline (asynccommit.go):
 // WAL flush, extent flush, and lock release run on a committer goroutine
 // and Commit returns at enqueue. Callers needing a per-transaction

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"blobdb/internal/core"
@@ -365,5 +367,76 @@ func TestMultiTxnBatchOrder(t *testing.T) {
 	}
 	if etag != etagOf(t, primary, "r", "k") {
 		t.Fatal("commit order: etag diverged")
+	}
+}
+
+// TestReplicaTailsConcurrentWriters: a replica pulling while several
+// writers commit concurrently on the primary catches up to the primary's
+// durable LSN once the writers stop, and then serves every key with the
+// primary's ETag.
+func TestReplicaTailsConcurrentWriters(t *testing.T) {
+	ctx := context.Background()
+	primary, rep := newPair(t)
+	const writers, perWriter = 4, 8
+	key := func(w, i int) string { return fmt.Sprintf("w%d-%02d", w, i) }
+
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				tx := primary.Begin(nil)
+				bw, err := tx.CreateBlob(ctx, "r", []byte(key(w, i)))
+				if err == nil {
+					_, err = bw.Write(bytes.Repeat([]byte{byte('a' + w), byte(i)}, 2<<10))
+					if err == nil {
+						err = bw.Close()
+					} else {
+						bw.Abort()
+					}
+				}
+				if err != nil {
+					tx.Abort()
+					errs <- err
+					return
+				}
+				if err := tx.CommitWait(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for tailing := true; tailing; {
+		select {
+		case <-done:
+			tailing = false
+		default:
+		}
+		if _, err := rep.Sync(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if _, err := rep.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if applied, durable := rep.AppliedLSN(), primary.WAL().DurableLSN(); applied < durable {
+		t.Fatalf("replica applied LSN %d behind the primary's durable %d after catch-up", applied, durable)
+	}
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perWriter; i++ {
+			k := key(w, i)
+			if _, etag, ok := readBlob(t, rep.DB(), "r", k); !ok || etag != etagOf(t, primary, "r", k) {
+				t.Fatalf("key %q: replica ETag %q (present %v) differs from the primary's", k, etag, ok)
+			}
+		}
 	}
 }

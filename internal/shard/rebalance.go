@@ -38,14 +38,17 @@ const maxDeltaRounds = 8
 //     every in-flight routed operation, run one final delta round (now
 //     nothing can write), and swap the ring pointer. From here reads and
 //     writes for the moved slice route to dst.
-//  3. Cleanup — delete moved keys from their old shards, but only after
-//     re-verifying (by ETag) that dst holds the blob.
+//  3. Cleanup — delete from the old shards exactly the source rows the
+//     final round saw at the cutover.
 //
 // Crash safety is positional: before the cutover the ring never routed
-// to dst, so the source still owns every byte; after the cutover dst
-// holds a verified copy of every moved blob and the source copies are
-// garbage, deleted only after per-key verification. A crash at ANY point
-// therefore loses no blob on either side — the crashsim topology
+// to dst, so the source still owns every byte; the final round runs with
+// no routed operation in flight, so at the swap dst holds a verified copy
+// of every moved row and the recorded source rows are garbage. After the
+// swap, routed writes and deletes of those keys reach dst only — a moved
+// key deleted through the router is gone from dst before cleanup runs,
+// and that is a legitimate state, not a missing copy. A crash at ANY
+// point therefore loses no blob on either side — the crashsim topology
 // schedules pin exactly this.
 func (c *Cluster) Rebalance(ctx context.Context, dst int) error {
 	if c.rebalancing.Swap(true) {
@@ -53,15 +56,25 @@ func (c *Cluster) Rebalance(ctx context.Context, dst int) error {
 	}
 	defer c.rebalancing.Store(false)
 
+	moved, err := c.cutover(ctx, dst)
+	if err != nil {
+		return err
+	}
+	return cleanupMoved(ctx, moved)
+}
+
+// cutover runs the copy phase and the cutover barrier of Rebalance and
+// returns the source rows the final round handed to dst.
+func (c *Cluster) cutover(ctx context.Context, dst int) ([]sourceRow, error) {
 	c.mu.RLock()
 	cur := c.ring
 	if dst < 0 || dst >= len(c.shards) {
 		c.mu.RUnlock()
-		return fmt.Errorf("shard: no shard %d", dst)
+		return nil, fmt.Errorf("shard: no shard %d", dst)
 	}
 	if cur.Has(dst) {
 		c.mu.RUnlock()
-		return fmt.Errorf("shard: shard %d is already a ring member", dst)
+		return nil, fmt.Errorf("shard: shard %d is already a ring member", dst)
 	}
 	d := c.shards[dst]
 	srcs := make([]*Shard, 0, len(c.shards))
@@ -74,25 +87,25 @@ func (c *Cluster) Rebalance(ctx context.Context, dst int) error {
 		// those keys. Refuse instead of silently dropping them.
 		if s.down.Load() {
 			c.mu.RUnlock()
-			return fmt.Errorf("shard %d: cannot reshard around a fenced ring member: %w", s.id, ErrShardDown)
+			return nil, fmt.Errorf("shard %d: cannot reshard around a fenced ring member: %w", s.id, ErrShardDown)
 		}
 		srcs = append(srcs, s)
 	}
 	c.mu.RUnlock()
 	if d.Down() {
-		return fmt.Errorf("shard %d: %w", dst, ErrShardDown)
+		return nil, fmt.Errorf("shard %d: %w", dst, ErrShardDown)
 	}
 	if err := c.SyncRelations(dst); err != nil {
-		return err
+		return nil, err
 	}
 	next := cur.Add(dst)
 	rels := c.Relations()
 
 	// Copy phase: converge while writes keep flowing.
 	for round := 0; round < maxDeltaRounds; round++ {
-		n, err := c.syncRound(ctx, srcs, d, rels, next)
+		n, _, err := c.syncRound(ctx, srcs, d, rels, next)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if n == 0 {
 			break
@@ -105,16 +118,21 @@ func (c *Cluster) Rebalance(ctx context.Context, dst int) error {
 	// pointer store. Locked work is bounded by the last round's delta,
 	// not the slice size.
 	c.mu.Lock()
-	if _, err := c.syncRound(ctx, srcs, d, rels, next); err != nil {
+	_, moved, err := c.syncRound(ctx, srcs, d, rels, next)
+	if err != nil {
 		c.mu.Unlock()
-		return err
+		return nil, err
 	}
 	c.ring = next
 	c.mu.Unlock()
+	return moved, nil
+}
 
-	// Cleanup: the moved keys' source copies are now unreachable via the
-	// ring; delete them, re-verifying each against dst first.
-	return c.cleanupMoved(ctx, srcs, d, rels, next)
+// sourceRow is one row of a source shard that the next ring routes to
+// the destination.
+type sourceRow struct {
+	src      *Shard
+	rel, key string
 }
 
 // sortedKeys returns m's keys in order. Rebalance touches rows in sorted
@@ -161,14 +179,15 @@ func movingKeys(ctx context.Context, s *Shard, rel string, next *Ring, dst int) 
 }
 
 // syncRound makes dst's copy of the moving slice of every relation match
-// the sources, returning how many rows it had to touch. Zero means the
-// round observed no drift.
-func (c *Cluster) syncRound(ctx context.Context, srcs []*Shard, dst *Shard, rels []string, next *Ring) (int, error) {
+// the sources. It returns how many rows it had to touch (zero means the
+// round observed no drift) and the source rows of the moving slice.
+func (c *Cluster) syncRound(ctx context.Context, srcs []*Shard, dst *Shard, rels []string, next *Ring) (int, []sourceRow, error) {
 	changed := 0
+	var moved []sourceRow
 	for _, rel := range rels {
 		have, err := movingKeys(ctx, dst, rel, next, dst.id)
 		if err != nil {
-			return changed, err
+			return changed, nil, err
 		}
 		want := map[string]bool{}
 		for _, s := range srcs {
@@ -177,15 +196,16 @@ func (c *Cluster) syncRound(ctx context.Context, srcs []*Shard, dst *Shard, rels
 			}
 			moving, err := movingKeys(ctx, s, rel, next, dst.id)
 			if err != nil {
-				return changed, err
+				return changed, nil, err
 			}
 			for _, key := range sortedKeys(moving) {
 				want[key] = true
+				moved = append(moved, sourceRow{src: s, rel: rel, key: key})
 				if have[key] == moving[key] {
 					continue
 				}
 				if err := c.copyRow(ctx, s, dst, rel, key); err != nil {
-					return changed, err
+					return changed, nil, err
 				}
 				changed++
 			}
@@ -197,12 +217,12 @@ func (c *Cluster) syncRound(ctx context.Context, srcs []*Shard, dst *Shard, rels
 				continue
 			}
 			if err := deleteRow(ctx, dst, rel, key); err != nil {
-				return changed, err
+				return changed, nil, err
 			}
 			changed++
 		}
 	}
-	return changed, nil
+	return changed, moved, nil
 }
 
 // copyRow streams one row from src to dst and validates the copy. BLOB
@@ -303,53 +323,15 @@ func deleteRow(ctx context.Context, s *Shard, rel, key string) error {
 	return nil
 }
 
-// cleanupMoved deletes from the old owners every key the new ring routes
-// to dst — after the cutover, so a crash mid-cleanup leaves at worst a
-// redundant source copy that the ring never serves. Each delete first
-// re-verifies that dst still holds the blob: the delete is the only
-// destructive step of the whole protocol, and it refuses to run on a key
-// whose destination copy it cannot see.
-func (c *Cluster) cleanupMoved(ctx context.Context, srcs []*Shard, dst *Shard, rels []string, next *Ring) error {
-	for _, rel := range rels {
-		for _, s := range srcs {
-			if s.id == dst.id {
-				continue
-			}
-			moved, err := movingKeys(ctx, s, rel, next, dst.id)
-			if err != nil {
-				return err
-			}
-			for _, key := range sortedKeys(moved) {
-				ok, err := hasVersion(ctx, dst, rel, key)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return fmt.Errorf("shard %d: cleanup %q/%q: destination copy missing (src %s)", s.id, rel, key, moved[key])
-				}
-				if err := deleteRow(ctx, s, rel, key); err != nil {
-					return err
-				}
-			}
+// cleanupMoved deletes the source rows the cutover handed to the
+// destination. The ring no longer routes to them, so nothing writes them
+// after the swap, and a crash mid-cleanup leaves at worst a redundant
+// source copy that the ring never serves.
+func cleanupMoved(ctx context.Context, moved []sourceRow) error {
+	for _, r := range moved {
+		if err := deleteRow(ctx, r.src, r.rel, r.key); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// hasVersion reports whether shard s holds any row at (rel, key). The
-// destination row may legitimately be NEWER than the source leftover —
-// post-cutover writes route to dst — so existence, not ETag equality, is
-// the cleanup criterion.
-func hasVersion(ctx context.Context, s *Shard, rel, key string) (bool, error) {
-	tx := s.DB().BeginCtx(ctx, nil)
-	defer tx.Commit()
-	_, err := tx.BlobState(rel, []byte(key))
-	switch {
-	case err == nil, errors.Is(err, core.ErrNotBlob):
-		return true, nil
-	case errors.Is(err, core.ErrKeyNotFound):
-		return false, nil
-	default:
-		return false, fmt.Errorf("shard %d: verify %q/%q: %w", s.id, rel, key, err)
-	}
 }

@@ -149,6 +149,58 @@ func TestRebalanceUnderConcurrentTraffic(t *testing.T) {
 	}
 }
 
+// TestRebalanceCleanupAfterRoutedDelete drives the reshard phases by hand
+// and deletes a moved key through the router between the cutover and the
+// cleanup. The delete reaches only the new owner, so the destination row
+// is gone when cleanup runs: that is a legitimate state, and cleanup must
+// still remove every stale source copy instead of failing the reshard.
+func TestRebalanceCleanupAfterRoutedDelete(t *testing.T) {
+	c := newCluster(t, 2, Options{})
+	if err := c.CreateRelation("r"); err != nil {
+		t.Fatal(err)
+	}
+	const n = 60
+	for i := 0; i < n; i++ {
+		clusterPut(t, c, "r", fmt.Sprintf("k%04d", i), []byte("v0"))
+	}
+	id, err := c.AddShard(newEngine(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	moved, err := c.cutover(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(moved) == 0 {
+		t.Fatal("cutover moved no key")
+	}
+	victim := moved[0].key
+	if err := clusterDelete(c, "r", victim); err != nil {
+		t.Fatalf("routed delete of moved key %q: %v", victim, err)
+	}
+	if err := cleanupMoved(ctx, moved); err != nil {
+		t.Fatalf("cleanup after a routed delete: %v", err)
+	}
+
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("k%04d", i)
+		owner := c.Ring().Shard("r", []byte(k))
+		for _, s := range c.Shards() {
+			tx := s.DB().BeginCtx(ctx, nil)
+			_, err := tx.BlobState("r", []byte(k))
+			tx.Commit()
+			held := err == nil
+			if err != nil && !errors.Is(err, core.ErrKeyNotFound) {
+				t.Fatalf("key %q on shard %d: %v", k, s.ID(), err)
+			}
+			if want := s.ID() == owner && k != victim; held != want {
+				t.Errorf("key %q on shard %d (owner %d): present=%v, want %v", k, s.ID(), owner, held, want)
+			}
+		}
+	}
+}
+
 // TestRebalanceSerializedAndValidated: a second concurrent reshard is
 // refused, as is resharding to an unknown or already-member shard.
 func TestRebalanceSerializedAndValidated(t *testing.T) {

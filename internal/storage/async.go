@@ -97,9 +97,6 @@ func NewInlineSubQueue(dev Device) *SubQueue {
 	return &SubQueue{dev: dev, inline: true}
 }
 
-// Inline reports whether submissions execute synchronously on the caller.
-func (q *SubQueue) Inline() bool { return q.inline }
-
 // Submit enqueues v and returns its completion ticket. It blocks only while
 // the queue is at depth; the device operations themselves run on the
 // completion goroutine. On an inline queue the Vec runs to completion
