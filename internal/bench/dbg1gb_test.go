@@ -9,6 +9,9 @@ import (
 )
 
 func TestDebug1GB(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 1 GB-scale devices (several GB RSS, more under -race); skipped in -short")
+	}
 	s := scales()["1GB"]
 	for _, v := range []OurVariant{VariantOur, VariantOurPhyslog} {
 		sys, err := NewOurSystem(v, OurOptions{DevPages: s.devPages, PoolPages: s.pool, LogPages: s.logPages})

@@ -2,12 +2,17 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"blobdb/internal/blob"
 	"blobdb/internal/btree"
+	"blobdb/internal/buffer"
 	"blobdb/internal/extent"
 	"blobdb/internal/sha256x"
 	"blobdb/internal/simtime"
@@ -269,14 +274,16 @@ func (db *DB) readCheckpointSlot(m *simtime.Meter, slot int) (img *ckptImage, ok
 
 // RecoveryReport summarizes what Recover did.
 type RecoveryReport struct {
-	CommittedTxns    int // transactions with a durable commit record
-	RedoneRecords    int // logical records reapplied
-	ValidatedBlobs   int // Blob States whose content passed SHA-256 validation
-	FailedBlobs      int // §III-C: states durable but content invalid — txn failed
-	DroppedTuples    int // tuples removed because their blob failed validation
-	LiveExtents      int // distinct extents owned by surviving blobs
-	SharedExtents    int // extents referenced by more than one surviving tuple
-	LedgerReconciled int // replayed ledger entries clamped to the tuple recount
+	CommittedTxns    int    // transactions with a durable commit record
+	RedoneRecords    int    // logical records reapplied
+	ValidatedBlobs   int    // WAL last-writer Blob States whose content passed SHA-256 validation
+	HashedBlobs      int    // distinct Blob States hashed, both passes together
+	HashedBytes      uint64 // content bytes of the HashedBlobs states
+	FailedBlobs      int    // §III-C: states durable but content invalid — txn failed
+	DroppedTuples    int    // tuples removed because their blob failed validation
+	LiveExtents      int    // distinct extents owned by surviving blobs
+	SharedExtents    int    // extents referenced by more than one surviving tuple
+	LedgerReconciled int    // replayed ledger entries clamped to the tuple recount
 	RecoveredHWM     storage.PID
 	FromCheckpoint   bool
 }
@@ -357,8 +364,22 @@ func recoverDB(o options, m *simtime.Meter) (*DB, *RecoveryReport, error) {
 			lastWriter[rk{relName, string(key)}] = i
 		}
 	}
-	failed := map[uint64]bool{}
+	// Candidates are taken in record-index order and their verdicts are
+	// applied in that order, so the report and the pool drops do not
+	// depend on map iteration or on the validation workers' schedule.
+	idxs := make([]int, 0, len(lastWriter))
 	for _, idx := range lastWriter {
+		idxs = append(idxs, idx)
+	}
+	sort.Ints(idxs)
+	type candidate struct {
+		txn   uint64
+		st    *blob.State // nil: the encoded state does not decode
+		check int         // index into checks
+	}
+	checks := &stateChecks{index: map[string]int{}}
+	var cands []candidate
+	for _, idx := range idxs {
 		rec := records[idx]
 		if rec.Type != wal.RecBlobState {
 			continue
@@ -367,19 +388,27 @@ func recoverDB(o options, m *simtime.Meter) (*DB, *RecoveryReport, error) {
 		if err != nil || len(value) == 0 || value[0] != tagBlob {
 			continue
 		}
-		st, err := blob.Decode(value[1:])
-		if err != nil || !db.validateBlob(m, st) {
-			failed[rec.TxnID] = true
-			rep.FailedBlobs++
-			// Validation read the (garbage) extents into the pool; their
-			// page ranges are about to become free space, so evict them or
-			// a future allocation of the same pages will collide with the
-			// stale resident entries.
-			if st != nil {
-				db.dropStateFromPool(st)
-			}
-		} else {
+		c := candidate{txn: rec.TxnID}
+		if st, err := blob.Decode(value[1:]); err == nil {
+			c.st, c.check = st, checks.add(value[1:], st)
+		}
+		cands = append(cands, c)
+	}
+	db.runStateChecks(m, checks, rep)
+	failed := map[uint64]bool{}
+	for _, c := range cands {
+		if c.st != nil && checks.ok[c.check] {
 			rep.ValidatedBlobs++
+			continue
+		}
+		failed[c.txn] = true
+		rep.FailedBlobs++
+		// Validation read the (garbage) extents into the pool; their
+		// page ranges are about to become free space, so evict them or
+		// a future allocation of the same pages will collide with the
+		// stale resident entries.
+		if c.st != nil {
+			db.dropStateFromPool(c.st)
 		}
 	}
 
@@ -465,10 +494,42 @@ func recoverDB(o options, m *simtime.Meter) (*DB, *RecoveryReport, error) {
 
 	// Sweep: every surviving Blob State (including checkpoint-sourced ones
 	// not covered by the WAL pass) must hash-validate; stragglers are
-	// dropped tuple-wise as a last resort. With dedup, several tuples may
-	// reference the same extent, so the allocator rebuild counts each
-	// DISTINCT extent once, and the pass doubles as the authoritative
-	// recount of per-extent references.
+	// dropped tuple-wise as a last resort. A state the Analysis pass
+	// already hashed keeps its verdict — the device is not written until
+	// the closing checkpoint, so hashing it again could only repeat it —
+	// and so do identical states of dedup-sharing tuples. With dedup,
+	// several tuples may reference the same extent, so the allocator
+	// rebuild counts each DISTINCT extent once, and the pass doubles as
+	// the authoritative recount of per-extent references.
+	relNames := make([]string, 0, len(db.rels))
+	for name := range db.rels {
+		relNames = append(relNames, name)
+	}
+	sort.Strings(relNames)
+	type tuple struct {
+		rel   *Relation
+		key   []byte
+		st    *blob.State // nil: the stored state does not decode
+		check int         // index into checks
+	}
+	var tuples []tuple
+	for _, name := range relNames {
+		r := db.rels[name]
+		r.tree.Ascend(nil, func(k, v []byte) bool {
+			tag, payload, err := decodeValue(v)
+			if err != nil || tag != tagBlob {
+				return true
+			}
+			t := tuple{rel: r, key: k}
+			if st, err := blob.Decode(payload); err == nil {
+				t.st, t.check = st, checks.add(payload, st)
+			}
+			tuples = append(tuples, t)
+			return true
+		})
+	}
+	db.runStateChecks(m, checks, rep)
+
 	var live []extent.Extent
 	seen := map[storage.PID]bool{}
 	refs := map[storage.PID]uint64{}
@@ -478,50 +539,35 @@ func recoverDB(o options, m *simtime.Meter) (*DB, *RecoveryReport, error) {
 	if maxEnd < heapStart {
 		maxEnd = heapStart
 	}
-	for _, r := range db.rels {
-		type drop struct {
-			key []byte
-			st  *blob.State
+	add := func(pid storage.PID, pages uint64) {
+		refs[pid]++
+		if !seen[pid] {
+			seen[pid] = true
+			live = append(live, extent.Extent{PID: pid, Pages: pages})
 		}
-		var drops []drop
-		r.tree.Ascend(nil, func(k, v []byte) bool {
-			tag, payload, err := decodeValue(v)
-			if err != nil || tag != tagBlob {
-				return true
-			}
-			st, err := blob.Decode(payload)
-			if err != nil {
-				drops = append(drops, drop{append([]byte(nil), k...), nil})
-				return true
-			}
-			if !db.validateBlob(m, st) {
-				drops = append(drops, drop{append([]byte(nil), k...), st})
-				return true
-			}
-			add := func(pid storage.PID, pages uint64) {
-				refs[pid]++
-				if !seen[pid] {
-					seen[pid] = true
-					live = append(live, extent.Extent{PID: pid, Pages: pages})
-				}
-				if end := pid + storage.PID(pages); end > maxEnd {
-					maxEnd = end
-				}
-			}
-			for i, pid := range st.Extents {
-				add(pid, tiers.Size(i))
-			}
-			if st.HasTail() {
-				add(st.Tail.PID, st.Tail.Pages)
-			}
-			return true
-		})
-		for _, d := range drops {
-			r.tree.Delete(d.key)
-			rep.DroppedTuples++
-			if d.st != nil {
-				db.dropStateFromPool(d.st)
-			}
+		if end := pid + storage.PID(pages); end > maxEnd {
+			maxEnd = end
+		}
+	}
+	var drops []tuple
+	for _, t := range tuples {
+		if t.st == nil || !checks.ok[t.check] {
+			t.key = append([]byte(nil), t.key...)
+			drops = append(drops, t)
+			continue
+		}
+		for i, pid := range t.st.Extents {
+			add(pid, tiers.Size(i))
+		}
+		if t.st.HasTail() {
+			add(t.st.Tail.PID, t.st.Tail.Pages)
+		}
+	}
+	for _, d := range drops {
+		d.rel.tree.Delete(d.key)
+		rep.DroppedTuples++
+		if d.st != nil {
+			db.dropStateFromPool(d.st)
 		}
 	}
 	rep.LiveExtents = len(live)
@@ -567,11 +613,6 @@ func recoverDB(o options, m *simtime.Meter) (*DB, *RecoveryReport, error) {
 	// Rebuild the content index from the surviving tuples in deterministic
 	// (relation-name, key) order so post-recovery dedup decisions replay
 	// identically in the crash simulator.
-	relNames := make([]string, 0, len(db.rels))
-	for name := range db.rels {
-		relNames = append(relNames, name)
-	}
-	sort.Strings(relNames)
 	for _, name := range relNames {
 		db.rels[name].tree.Ascend(nil, func(_, v []byte) bool {
 			tag, payload, err := decodeValue(v)
@@ -605,16 +646,81 @@ func (db *DB) dropStateFromPool(st *blob.State) {
 	}
 }
 
+// stateChecks collects the Blob States recovery must hash-validate, one
+// entry per distinct encoding: two tuples, or a WAL record and a tuple,
+// holding byte-identical states share one check and one verdict.
+type stateChecks struct {
+	index  map[string]int // encoded state -> check
+	states []*blob.State
+	ok     []bool // verdicts of states[:len(ok)]
+}
+
+// add returns the check for the state encoded as enc, queueing st for
+// validation when no identical state has been seen.
+func (c *stateChecks) add(enc []byte, st *blob.State) int {
+	if i, ok := c.index[string(enc)]; ok {
+		return i
+	}
+	i := len(c.states)
+	c.index[string(enc)] = i
+	c.states = append(c.states, st)
+	return i
+}
+
+// runStateChecks hash-validates every queued state on up to GOMAXPROCS
+// workers over the shared pool. A verdict does not depend on the
+// workers' schedule: recovery writes nothing to the device while they
+// run. The one schedule effect, a fix that finds the pool pinned full by
+// the other workers, is retried alone afterwards.
+func (db *DB) runStateChecks(m *simtime.Meter, c *stateChecks, rep *RecoveryReport) {
+	queued := c.states[len(c.ok):]
+	if len(queued) == 0 {
+		return
+	}
+	errs := make([]error, len(queued))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(queued)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(queued) {
+					return
+				}
+				errs[i] = db.validateBlob(m, queued[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, st := range queued {
+		if errors.Is(errs[i], buffer.ErrPoolFull) {
+			errs[i] = db.validateBlob(m, st)
+		}
+		c.ok = append(c.ok, errs[i] == nil)
+		rep.HashedBlobs++
+		rep.HashedBytes += st.Size
+	}
+}
+
+// errContentMismatch reports device content that does not hash to the
+// Blob State's SHA-256.
+var errContentMismatch = errors.New("core: blob content does not match its SHA-256")
+
 // validateBlob reads the blob's extents from the device and checks the
 // content against the Blob State's SHA-256.
-func (db *DB) validateBlob(m *simtime.Meter, st *blob.State) bool {
+func (db *DB) validateBlob(m *simtime.Meter, st *blob.State) error {
 	h := newContentHasher()
 	err := db.blobs.Stream(m, st, func(chunk []byte) bool {
 		h.Write(chunk)
 		return true
 	})
 	if err != nil {
-		return false
+		return err
 	}
-	return h.Sum256() == st.SHA256
+	if h.Sum256() != st.SHA256 {
+		return errContentMismatch
+	}
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"blobdb/internal/blob"
@@ -273,6 +274,220 @@ func TestRecoverManyRandomCrashPoints(t *testing.T) {
 			t.Errorf("trial %d: unexpected survivor %s", trial, k)
 		}
 		tx.Commit()
+	}
+}
+
+// TestRecoverHashesEachStateOnce pins recovery's hash-once rule: each
+// distinct Blob State is hashed exactly once across the Analysis pass and
+// the sweep, however many WAL records or tuples carry it, and the
+// validation workers' schedule leaks into neither the report nor the
+// recovered keys.
+func TestRecoverHashesEachStateOnce(t *testing.T) {
+	const pages = 1 << 13 // 32 MiB
+	dev := storage.NewMemDevice(ps, pages, nil)
+	o := options{Dev: dev, PoolPages: 1 << 11, LogPages: 1 << 10, CkptPages: 1 << 10}
+	db := openTest(t, o)
+	db.CreateRelation("r")
+	rng := rand.New(rand.NewSource(19))
+	newContent := func() []byte {
+		c := make([]byte, 20<<10+rng.Intn(40<<10))
+		rng.Read(c)
+		return c
+	}
+	want := map[string][]byte{}
+	var wantHashed int
+	var wantBytes uint64
+	put := func(key string, c []byte) {
+		putCommitted(t, db, "r", []byte(key), c)
+		want[key] = c
+	}
+	hashedOnce := func(c []byte) {
+		wantHashed++
+		wantBytes += uint64(len(c))
+	}
+	state := func(key string) *blob.State {
+		tx := db.Begin(nil)
+		defer tx.Commit()
+		st, err := tx.BlobState("r", []byte(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	// Checkpoint-sourced states, hashed by the sweep alone. c3's first
+	// extent is then overwritten on the device, so the sweep drops it.
+	for i := 0; i < 4; i++ {
+		c := newContent()
+		put(fmt.Sprintf("c%d", i), c)
+		hashedOnce(c)
+	}
+	if err := db.WAL().Checkpoint(nil); err != nil {
+		t.Fatal(err)
+	}
+	garbage := make([]byte, ps)
+	rng.Read(garbage)
+	if err := dev.WritePages(nil, state("c3").Extents[0], 1, garbage); err != nil {
+		t.Fatal(err)
+	}
+	delete(want, "c3")
+
+	// WAL-sourced states, more than there are validation workers: hashed
+	// by the Analysis pass, not again by the sweep.
+	for i := 0; i < runtime.GOMAXPROCS(0)+3; i++ {
+		c := newContent()
+		put(fmt.Sprintf("w%02d", i), c)
+		hashedOnce(c)
+	}
+	// Two dedup-sharing keys hold byte-identical states: one hash.
+	shared := newContent()
+	put("d0", shared)
+	put("d1", shared)
+	hashedOnce(shared)
+	if !bytes.Equal(state("d0").Encode(), state("d1").Encode()) {
+		t.Fatal("identical PUTs did not share one Blob State")
+	}
+	// A torn overwrite: the failed last writer is hashed by the Analysis
+	// pass, the older version it leaves in place by the sweep.
+	old := newContent()
+	put("t", old)
+	hashedOnce(old)
+	torn := newContent()
+	tx := db.Begin(nil)
+	if err := putBlob(tx, "r", []byte("t"), torn); err != nil {
+		t.Fatal(err)
+	}
+	if err := CrashBeforeExtentFlush(tx); err != nil {
+		t.Fatal(err)
+	}
+	hashedOnce(torn)
+
+	img := make([]byte, pages*ps)
+	if err := dev.ReadPages(nil, 0, pages, img); err != nil {
+		t.Fatal(err)
+	}
+	var first RecoveryReport
+	for run := 0; run < 5; run++ {
+		ro := o
+		ro.Dev = storage.NewMemDeviceFrom(ps, pages, nil, img)
+		db2, rep, err := recoverDB(ro, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.HashedBlobs != wantHashed || rep.HashedBytes != wantBytes {
+			t.Errorf("run %d: hashed %d states / %d bytes, want %d / %d (each distinct state once)",
+				run, rep.HashedBlobs, rep.HashedBytes, wantHashed, wantBytes)
+		}
+		if rep.FailedBlobs != 1 || rep.DroppedTuples != 1 {
+			t.Errorf("run %d: FailedBlobs=%d DroppedTuples=%d, want 1 and 1", run, rep.FailedBlobs, rep.DroppedTuples)
+		}
+		if run == 0 {
+			first = *rep
+		} else if *rep != first {
+			t.Errorf("run %d: report %+v differs from run 0's %+v", run, *rep, first)
+		}
+		got := 0
+		tx := db2.Begin(nil)
+		tx.Scan("r", nil, func(k, _ []byte, _ *blob.State) bool {
+			got++
+			if _, ok := want[string(k)]; !ok {
+				t.Errorf("run %d: unexpected key %q recovered", run, k)
+			}
+			return true
+		})
+		for key, c := range want {
+			if b, err := tx.ReadBlobBytes("r", []byte(key)); err != nil || !bytes.Equal(b, c) {
+				t.Errorf("run %d: key %q lost or changed: %v", run, key, err)
+			}
+		}
+		tx.Commit()
+		if got != len(want) {
+			t.Errorf("run %d: recovered %d keys, want %d", run, got, len(want))
+		}
+	}
+}
+
+// TestRecoverWithPoolForOneExtent recovers into a pool that holds one
+// blob's largest extent but not one per validation worker. Workers then
+// find the pool pinned full by each other; every committed blob must
+// still validate, as it does when one goroutine hashes them in turn.
+func TestRecoverWithPoolForOneExtent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const pages = 1 << 12
+	o := options{Dev: storage.NewMemDevice(ps, pages, nil), PoolPages: 128, LogPages: 1 << 9, CkptPages: 1 << 9}
+	db := openTest(t, o)
+	db.CreateRelation("r")
+	rng := rand.New(rand.NewSource(23))
+	const blobs = 8
+	for i := 0; i < blobs; i++ {
+		c := make([]byte, 250<<10) // tiers 1..32 pages: the largest extent is 32 pages
+		rng.Read(c)
+		putCommitted(t, db, "r", []byte(fmt.Sprintf("k%d", i)), c)
+	}
+	o.PoolPages = 40
+	_, rep, err := recoverDB(o, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ValidatedBlobs != blobs || rep.FailedBlobs != 0 {
+		t.Errorf("report = %+v, want %d validated and none failed", rep, blobs)
+	}
+}
+
+// BenchmarkRecoverDevice times recovery of 256 × 256 KiB blobs on a
+// MemDevice, with every state WAL-sourced or every state
+// checkpoint-sourced.
+func BenchmarkRecoverDevice(b *testing.B) {
+	const (
+		pages = 40 << 10 // 160 MiB: 256 tier-rounded blobs need ~127 MiB of heap
+		blobs = 256
+		size  = 256 << 10
+	)
+	for _, bc := range []struct {
+		name       string
+		checkpoint bool
+	}{{"wal", false}, {"checkpoint", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			dev := storage.NewMemDevice(ps, pages, nil)
+			o := options{Dev: dev, PoolPages: 1 << 12, LogPages: 1 << 11, CkptPages: 1 << 11}
+			db := openTest(b, o)
+			db.CreateRelation("r")
+			rng := rand.New(rand.NewSource(1))
+			content := make([]byte, size)
+			for i := 0; i < blobs; i++ {
+				rng.Read(content)
+				tx := db.Begin(nil)
+				if err := putBlob(tx, "r", []byte(fmt.Sprintf("k%03d", i)), content); err != nil {
+					b.Fatal(err)
+				}
+				mustCommit(b, tx)
+			}
+			if bc.checkpoint {
+				if err := db.WAL().Checkpoint(nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			img := make([]byte, pages*ps)
+			if err := dev.ReadPages(nil, 0, pages, img); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(blobs * size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ro := o
+				ro.Dev = storage.NewMemDeviceFrom(ps, pages, nil, img)
+				b.StartTimer()
+				_, rep, err := recoverDB(ro, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.HashedBlobs != blobs || rep.FailedBlobs != 0 {
+					b.Fatalf("report = %+v", rep)
+				}
+			}
+		})
 	}
 }
 

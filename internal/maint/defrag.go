@@ -54,6 +54,11 @@ type Report struct {
 	Moved          int    // extents actually relocated
 	Skipped        int    // stale plans, shared sequences, no slot below
 	ReclaimedPages uint64 // pages retracted from the high-water mark
+	// PendingFrees counts deferred free batches still held back by
+	// readers when the round ended. Until they land, After counts the
+	// moved extents' old copies as live, so its score reads lower than
+	// the heap will be; the next round applies them before it scores.
+	PendingFrees int
 }
 
 // Defragmenter compacts a live engine's heap region: it relocates live,
@@ -80,16 +85,26 @@ func New(db *core.DB, cfg Config) *Defragmenter {
 	return &Defragmenter{db: db, cfg: cfg.withDefaults()}
 }
 
-// RunOnce executes one defragmentation round: score, plan, relocate up to
-// MaxMoves extents (one short transaction each), drain the commit
-// pipeline, tick the reclaimer so the vacated sources reach the free
-// lists, and shrink the high-water mark. Returns the round's report; a nil
-// error with Moved == 0 means the heap was already packed enough.
+// RunOnce executes one defragmentation round: apply the frees earlier
+// rounds left deferred behind readers and shrink the high-water mark over
+// them, score, plan, relocate up to MaxMoves extents (one short
+// transaction each), drain the commit pipeline, tick the reclaimer so the
+// vacated sources reach the free lists, and shrink the high-water mark.
+// Returns the round's report; a nil error with Moved == 0 means the heap
+// was already packed enough.
 func (d *Defragmenter) RunOnce(ctx context.Context) (Report, error) {
 	alloc := d.db.Allocator()
 	rep := Report{Before: alloc.FragStats()}
-	rep.After = rep.Before
-	if rep.Before.Score < d.cfg.MinScore {
+	// Apply the frees earlier rounds left deferred behind readers, and
+	// retract the mark over them, before scoring: while they are pending
+	// the old copies count as live and the score reads low, so a round
+	// that scored first could turn away and leave the mark unshrunk.
+	d.db.ReclaimTick()
+	rep.ReclaimedPages = alloc.ShrinkHWM()
+	if landed := alloc.FragStats(); landed.Score < d.cfg.MinScore {
+		d.reclaimed.Add(rep.ReclaimedPages)
+		rep.After = landed
+		rep.PendingFrees = d.db.ReclaimPending()
 		return rep, nil
 	}
 	d.rounds.Add(1)
@@ -131,18 +146,19 @@ func (d *Defragmenter) RunOnce(ctx context.Context) (Report, error) {
 	// the allocator before the shrink.
 	d.db.DrainCommits()
 	d.db.ReclaimTick()
-	rep.ReclaimedPages = alloc.ShrinkHWM()
+	rep.ReclaimedPages += alloc.ShrinkHWM()
 	d.reclaimed.Add(rep.ReclaimedPages)
 	d.finishRound(&rep)
 	if d.cfg.Logf != nil {
-		d.cfg.Logf("maint: defrag round: score %.3f -> %.3f, moved %d/%d (skipped %d), reclaimed %d pages",
-			rep.Before.Score, rep.After.Score, rep.Moved, rep.Planned, rep.Skipped, rep.ReclaimedPages)
+		d.cfg.Logf("maint: defrag round: score %.3f -> %.3f, moved %d/%d (skipped %d), reclaimed %d pages, %d free batches pending",
+			rep.Before.Score, rep.After.Score, rep.Moved, rep.Planned, rep.Skipped, rep.ReclaimedPages, rep.PendingFrees)
 	}
 	return rep, nil
 }
 
 func (d *Defragmenter) finishRound(rep *Report) {
 	rep.After = d.db.Allocator().FragStats()
+	rep.PendingFrees = d.db.ReclaimPending()
 	d.mu.Lock()
 	d.last = *rep
 	d.mu.Unlock()
@@ -192,6 +208,7 @@ func (d *Defragmenter) Vars() expvar.Var {
 				"moved":           last.Moved,
 				"skipped":         last.Skipped,
 				"reclaimed_pages": last.ReclaimedPages,
+				"pending_frees":   last.PendingFrees,
 			},
 		}
 	})

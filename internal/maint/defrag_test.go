@@ -347,3 +347,89 @@ func TestDefragRoundsUnderReaders(t *testing.T) {
 		t.Errorf("CheckLedger after defrag: %v", err)
 	}
 }
+
+// TestDefragLandsFreesHeldByReaders: a round run while readers hold
+// snapshots moves extents whose old copies stay deferred behind them, so
+// its report shows pending frees and its shrink cannot pass them. The
+// next round, after the readers stop, must land every such free and pull
+// the high-water mark down over the vacated copies.
+func TestDefragLandsFreesHeldByReaders(t *testing.T) {
+	db := newTestDB(t)
+	contents := fragment(t, db)
+	survivors := make([]string, 0, len(contents))
+	for k := range contents {
+		survivors = append(survivors, k)
+	}
+	sort.Strings(survivors)
+
+	// One reader keeps its snapshot across the whole first round, so every
+	// move's free is deferred; two more spin on fresh snapshots.
+	held := db.Begin(nil)
+	var (
+		wg   sync.WaitGroup
+		stop atomic.Bool
+		errs = make(chan error, 2)
+	)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rr := rand.New(rand.NewSource(int64(200 + r)))
+			for !stop.Load() {
+				k := survivors[rr.Intn(len(survivors))]
+				tx := db.Begin(nil)
+				got, err := tx.ReadBlobBytes("f", []byte(k))
+				tx.Commit()
+				if err == nil && !bytes.Equal(got, contents[k]) {
+					err = fmt.Errorf("blob %q changed during defragmentation", k)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(r)
+	}
+
+	d := New(db, Config{MinScore: 0.01, MaxMoves: 1000})
+	first, err := d.RunOnce(context.Background())
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Moved == 0 {
+		t.Fatal("no extent moved; the workload left nothing movable")
+	}
+	if first.PendingFrees == 0 || first.PendingFrees != db.ReclaimPending() {
+		t.Errorf("first round reports %d pending free batches, reclaimer holds %d; want the same, > 0",
+			first.PendingFrees, db.ReclaimPending())
+	}
+	held.Commit()
+
+	second, err := d.RunOnce(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := db.ReclaimPending(); n != 0 || second.PendingFrees != 0 {
+		t.Errorf("after the readers stopped: %d free batches pending (report %d), want 0", n, second.PendingFrees)
+	}
+	if second.ReclaimedPages == 0 {
+		t.Errorf("second round reclaimed no pages: %+v", second)
+	}
+	if second.After.Score >= first.Before.Score {
+		t.Errorf("defragmentation did not lower the score: %.4f -> %.4f", first.Before.Score, second.After.Score)
+	}
+	for _, k := range survivors {
+		if !bytes.Equal(read(t, db, "f", k), contents[k]) {
+			t.Fatalf("blob %q corrupted by defragmentation", k)
+		}
+	}
+	if err := db.CheckLedger(); err != nil {
+		t.Errorf("CheckLedger after defrag: %v", err)
+	}
+}
