@@ -105,7 +105,6 @@ func main() {
 			core.WithPoolPages(int(*pages/4)),
 			core.WithLogPages(*pages/16),
 			core.WithCkptPages(*pages/8),
-			core.WithAsyncCommit(true), // PUTs batch through the group-commit pipeline
 			core.WithQueueDepth(*queueDepth),
 		)
 		if err != nil {

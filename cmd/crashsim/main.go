@@ -6,7 +6,7 @@
 //
 //	crashsim                                   # short sweep, both tear modes
 //	crashsim -traces 50 -points 200            # nightly-sized sweep
-//	crashsim -seed 7 -synccommit -smallpool    # stress the sync path under eviction
+//	crashsim -seed 7 -smallpool                # flushes contend with eviction
 //	crashsim -dedup                            # dedup/relocation-heavy traces (refcount ledger)
 //	crashsim -trace-seed N -crashpoint K       # replay one schedule
 //	crashsim -topology -shards 3               # one-shard-crash topology schedules
@@ -34,7 +34,6 @@ func main() {
 		steps     = flag.Int("steps", 0, "ops per trace (default: the short CI budget)")
 		points    = flag.Int("points", 0, "crash points sampled per trace and tear mode (default: the short CI budget)")
 		tear      = flag.String("tear", "", "restrict to one tear mode (ordered|scramble); default explores both")
-		syncMode  = flag.Bool("synccommit", false, "use the synchronous commit path instead of the async group-commit pipeline")
 		smallPool = flag.Bool("smallpool", false, "shrink the buffer pool so flushes contend with eviction")
 		dedupMode = flag.Bool("dedup", false, "generate dedup/relocation-heavy traces (dup-put, dup-put-abort, relocate families) exercising the refcount ledger")
 		quiet     = flag.Bool("q", false, "suppress per-trace progress output")
@@ -67,7 +66,6 @@ func main() {
 	if *dedupMode {
 		cfg = crashsim.DefaultDedupConfig(*seed)
 	}
-	cfg.Sync = *syncMode
 	cfg.SmallPool = *smallPool
 	if *traces > 0 {
 		cfg.Traces = *traces

@@ -80,11 +80,11 @@ func overwriteBeforeRelease(p *buffer.Pool) {
 	f.Release()
 }
 
-// leakInCommitErrorPath pins the shape of the real engine bug fixed in
-// this change: Txn.Commit's synchronous path (and failCommit in the
-// async pipeline) released its locks but not its pending frames when
-// the WAL write or extent flush failed, leaving evict-protected pins
-// behind (internal/core/txn.go, internal/core/asynccommit.go).
+// leakInCommitErrorPath pins the shape of a real engine bug: the commit
+// error path (then Txn.Commit's synchronous branch, and failCommit in
+// the group committer) released its locks but not its pending frames
+// when the WAL write or extent flush failed, leaving evict-protected
+// pins behind (internal/core/commit.go).
 func leakInCommitErrorPath(p *buffer.Pool, writeWAL func() error) error {
 	f, err := p.FixExtent(7, 2) // want `frame fixed by FixExtent is not released on every path`
 	if err != nil {

@@ -70,7 +70,7 @@ func AblationTailVsTier() (*Result, error) {
 				tx.Abort()
 				return err
 			}
-			return tx.Commit()
+			return commitAsync(tx)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%s grow: %w", cfg.name, err)
@@ -117,7 +117,7 @@ func AblationUpdateSchemes() (*Result, error) {
 					tx.Abort()
 					return err
 				}
-				return tx.Commit()
+				return commitAsync(tx)
 			})
 			if err != nil {
 				return nil, err

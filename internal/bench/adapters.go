@@ -86,7 +86,6 @@ func NewOurSystem(v OurVariant, o OurOptions) (*OurSystem, error) {
 		core.WithTailExtents(o.UseTail),
 		core.WithAliasPages(o.WorkerLocalAliasPages),
 		core.WithWALBufferCap(o.WALBufferCap),
-		core.WithAsyncCommit(true),
 	)
 	if err != nil {
 		return nil, err
@@ -122,7 +121,7 @@ func (s *OurSystem) Put(m *simtime.Meter, key string, content []byte) error {
 		return err
 	}
 	m.CountBytesMoved(int64(len(content))) // the copy into the extent frames
-	return tx.Commit()
+	return commitAsync(tx)
 }
 
 // Get implements System. The vmcache variant copies once through the
@@ -159,7 +158,7 @@ func (s *OurSystem) Delete(m *simtime.Meter, key string) error {
 		tx.Abort()
 		return err
 	}
-	return tx.Commit()
+	return commitAsync(tx)
 }
 
 // Meta implements metaSystem: one B-tree range scan retrieves the Blob
@@ -174,7 +173,16 @@ func (s *OurSystem) Meta(m *simtime.Meter, startIdx, n int) error {
 	})
 }
 
-// Drain flushes the async commit pipeline (end of a measured window).
+// commitAsync enqueues tx on the group committer without waiting for its
+// ack: the figures model the committer as background work that overlaps
+// the workers (CommitterBusy). Failures surface through Drain and
+// DB.CommitterErr.
+func commitAsync(tx *core.Txn) error {
+	_, err := tx.CommitAsync()
+	return err
+}
+
+// Drain flushes the commit pipeline (end of a measured window).
 func (s *OurSystem) Drain() error { return s.DB.DrainCommits() }
 
 // EvictAll empties the buffer pool (cold-cache experiments).

@@ -105,7 +105,7 @@ func runYCSB(sys System, s ycsbScale, seed int64) (float64, error) {
 			return 0, err
 		}
 	}
-	// Load. The async pipeline's byte budget bounds pinned extents.
+	// Load. The committer's byte budget bounds pinned extents.
 	sizes := make([]int, s.records)
 	for i := 0; i < s.records; i++ {
 		v := val()

@@ -92,7 +92,7 @@ type runCfg struct {
 	workers int
 	ops     int
 	// background reports cumulative busy time of pipeline stages that
-	// overlap with the workers (the async committer). Sampled before and
+	// overlap with the workers (the group committer). Sampled before and
 	// after the window.
 	background func() time.Duration
 	// blocked reports cumulative time workers spent waiting on the

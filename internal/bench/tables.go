@@ -255,7 +255,7 @@ func (t *gitTarget) Append(path string, data []byte) error {
 		tx.Abort()
 		return err
 	}
-	return tx.Commit()
+	return commitAsync(tx)
 }
 
 // Close implements gittrace.Target.

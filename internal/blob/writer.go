@@ -31,11 +31,6 @@ type WriterOpts struct {
 	// Meter is charged for worker-side work (allocation, copies). May be
 	// nil.
 	Meter *simtime.Meter
-	// FlushMeter is charged for the extent flushes the writer issues. In
-	// the async-commit pipeline this is nil so flush I/O is accounted as
-	// overlapped background work, matching the commit pipeline; in
-	// synchronous mode it is the worker meter.
-	FlushMeter *simtime.Meter
 	// Ctx cancels the write mid-stream: Write/ReadFrom fail once the
 	// context is done (an abandoned HTTP upload stops consuming extents).
 	// Nil means never cancelled.
@@ -84,11 +79,10 @@ type WriterOpts struct {
 //
 // A Writer is single-goroutine, like the transaction that owns it.
 type Writer struct {
-	mgr     *Manager
-	mt      *simtime.Meter
-	flushMt *simtime.Meter
-	ctx     context.Context
-	tiers   *extent.TierTable
+	mgr   *Manager
+	mt    *simtime.Meter
+	ctx   context.Context
+	tiers *extent.TierTable
 
 	stream  bool
 	useTail bool
@@ -141,7 +135,6 @@ func (m *Manager) NewWriter(o WriterOpts) (*Writer, error) {
 	w := &Writer{
 		mgr:           m,
 		mt:            o.Meter,
-		flushMt:       o.FlushMeter,
 		ctx:           o.Ctx,
 		tiers:         m.Alloc.Tiers(),
 		stream:        o.Stream,
@@ -244,7 +237,8 @@ func (w *Writer) absorb(chunk []byte) {
 // startFlusher lazily launches the single background flush goroutine
 // (Stream mode). The channel is unbuffered: handing off extent i blocks
 // until extent i-1 has finished flushing, which is what bounds the pinned
-// set to two extents.
+// set to two extents. The flushes overlap the writer, so they are charged
+// to no meter, like the committer's commit-time flush.
 func (w *Writer) startFlusher() {
 	if w.flushCh != nil {
 		return
@@ -254,7 +248,7 @@ func (w *Writer) startFlusher() {
 	go func() {
 		defer close(w.flushDone)
 		for f := range w.flushCh {
-			if err := w.mgr.Pool.FlushExtent(w.flushMt, f); err != nil {
+			if err := w.mgr.Pool.FlushExtent(nil, f); err != nil {
 				f.SetPreventEvict(false)
 				w.fmu.Lock()
 				if w.ferr == nil {

@@ -11,7 +11,7 @@ import (
 	"blobdb/internal/storage"
 )
 
-// drainEngine settles an engine's async pipeline and epoch-deferred
+// drainEngine settles an engine's commit pipeline and epoch-deferred
 // reclaimer so allocator and ledger accounting are exact.
 func drainEngine(t *testing.T, db *core.DB) {
 	t.Helper()
@@ -196,7 +196,6 @@ func newShardEngine(t *testing.T) *core.DB {
 		core.WithPoolPages(1<<12),
 		core.WithLogPages(1<<11),
 		core.WithCkptPages(1<<12),
-		core.WithAsyncCommit(true),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,6 @@ func openRecoveryDB(t *testing.T, path string) (*core.DB, *core.RecoveryReport) 
 		core.WithPoolPages(1<<12),
 		core.WithLogPages(1<<10),
 		core.WithCkptPages(1<<11),
-		core.WithAsyncCommit(true),
 	)
 	if err != nil {
 		t.Fatal(err)

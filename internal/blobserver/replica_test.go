@@ -27,7 +27,6 @@ func newReplicaPair(t *testing.T) (primary *httptest.Server, replica *httptest.S
 		core.WithPoolPages(1<<14),
 		core.WithLogPages(1<<12),
 		core.WithCkptPages(1<<13),
-		core.WithAsyncCommit(true),
 	)
 	if err != nil {
 		t.Fatal(err)

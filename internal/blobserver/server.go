@@ -25,8 +25,8 @@
 // bounded by the largest extent — never the blob. Each write runs one
 // transaction per request, carries the request context (a cancelled
 // upload aborts the transaction and stops waiting for durability), and
-// acknowledges through Txn.CommitWait, so concurrent PUTs are batched by
-// the async group-commit pipeline and share WAL syncs. Admission control
+// acknowledges through Txn.Commit, so concurrent PUTs are batched by the
+// group committer and share WAL syncs. Admission control
 // bounds in-flight requests and sheds load with 503 + Retry-After once
 // the bounded wait expires.
 package blobserver
@@ -52,9 +52,8 @@ import (
 
 // Config wires a Server.
 type Config struct {
-	// DB is the open engine; required unless Cluster is set. For write
-	// batching it should be opened with Options.AsyncCommit — synchronous
-	// engines still work, each PUT then pays its own WAL sync.
+	// DB is the open engine; required unless Cluster is set. Concurrent
+	// PUTs share WAL syncs through its group committer.
 	DB *core.DB
 	// Cluster, when set, serves the API over a sharded topology: single-key
 	// operations route to the owning shard, relation creates fan out, and
@@ -489,10 +488,10 @@ func (s *Server) handlePutBlob(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.observePutPeak(bw.PeakPinnedBytes())
 	st := bw.State()
-	// CommitWait acknowledges only after the group-commit batch carrying
+	// Commit acknowledges only after the group-commit batch carrying
 	// this transaction is durable and its extents are flushed; if the
 	// client hangs up it stops waiting and the commit finishes unobserved.
-	if err := tx.CommitWait(); err != nil {
+	if err := tx.Commit(); err != nil {
 		httpError(w, err)
 		return
 	}
@@ -519,7 +518,7 @@ func (s *Server) handleDeleteBlob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	if err := tx.CommitWait(); err != nil {
+	if err := tx.Commit(); err != nil {
 		httpError(w, err)
 		return
 	}

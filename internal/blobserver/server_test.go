@@ -19,8 +19,8 @@ import (
 	"blobdb/internal/storage"
 )
 
-// newTestServer opens an in-memory engine (async group-commit pipeline on)
-// and serves it over a real TCP listener.
+// newTestServer opens an in-memory engine and serves it over a real TCP
+// listener.
 func newTestServer(t *testing.T, cfg Config) (*core.DB, *Server, *httptest.Server, *blobclient.Client) {
 	t.Helper()
 	return newTestServerOn(t, storage.NewMemDevice(storage.DefaultPageSize, 1<<16, nil), cfg)
@@ -32,7 +32,6 @@ func newTestServerOn(t *testing.T, dev storage.Device, cfg Config) (*core.DB, *S
 		core.WithPoolPages(1<<14), // 64 MB: a 10 MB blob plus working set
 		core.WithLogPages(1<<12),
 		core.WithCkptPages(1<<13),
-		core.WithAsyncCommit(true),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +215,7 @@ func (d *slowSyncDevice) Sync(m *simtime.Meter) error {
 
 // TestConcurrentMixedLoadSharesWALFlushes is the acceptance load test:
 // 8 concurrent clients doing mixed PUT/GET; every PUT gets a durability
-// ack (CommitWait), yet the group-commit pipeline must batch >1 txn per
+// ack (Commit), yet the group-commit pipeline must batch >1 txn per
 // shared WAL sync, observable through the published /debug/vars stats.
 func TestConcurrentMixedLoadSharesWALFlushes(t *testing.T) {
 	// The durability sync must carry its real cost — the regime group

@@ -30,7 +30,6 @@ func newShardedServer(t *testing.T, n int, cfg Config) (*shard.Cluster, *Server,
 			core.WithPoolPages(1<<12),
 			core.WithLogPages(1<<11),
 			core.WithCkptPages(1<<12),
-			core.WithAsyncCommit(true),
 		)
 		if err != nil {
 			t.Fatal(err)

@@ -61,8 +61,7 @@ func TestStreamingPut64MiBBoundedBuffering(t *testing.T) {
 	// A roomier engine than newTestServer's: the blob alone is 16 K pages.
 	dev := storage.NewMemDevice(storage.DefaultPageSize, 1<<16, nil)
 	db, err := core.New(dev,
-		core.WithPoolPages(1<<15), core.WithLogPages(1<<12), core.WithCkptPages(1<<13),
-		core.WithAsyncCommit(true))
+		core.WithPoolPages(1<<15), core.WithLogPages(1<<12), core.WithCkptPages(1<<13))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,8 +168,8 @@ func TestCommitWithOpenWriterRejected(t *testing.T) {
 	if err := tx.Commit(); !errors.Is(err, ErrBlobWriterOpen) {
 		t.Fatalf("Commit with open writer: got %v want ErrBlobWriterOpen", err)
 	}
-	if err := tx.CommitWait(); !errors.Is(err, ErrBlobWriterOpen) {
-		t.Fatalf("CommitWait with open writer: got %v want ErrBlobWriterOpen", err)
+	if _, err := tx.CommitAsync(); !errors.Is(err, ErrBlobWriterOpen) {
+		t.Fatalf("CommitAsync with open writer: got %v want ErrBlobWriterOpen", err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -210,7 +210,6 @@ func TestAbortWithOpenWriterReclaims(t *testing.T) {
 // before the commit handoff must roll back, not commit.
 func TestEnqueueCancelledContext(t *testing.T) {
 	o := testOpts()
-	o.AsyncCommit = true
 	db := openTest(t, o)
 	defer db.CloseCommitter()
 	if _, err := db.CreateRelation("r"); err != nil {
@@ -235,12 +234,11 @@ func TestEnqueueCancelledContext(t *testing.T) {
 	tx2.Commit()
 }
 
-// TestCommitWaitCancelledContext: a CommitWait caller whose context dies
+// TestCommitCancelledContext: a Commit caller whose context dies
 // while the committer is busy stops waiting immediately; the commit itself
 // still completes in the background and the data is durable.
-func TestCommitWaitCancelledContext(t *testing.T) {
+func TestCommitCancelledContext(t *testing.T) {
 	o := testOpts()
-	o.AsyncCommit = true
 	db := openTest(t, o)
 	defer db.CloseCommitter()
 	if _, err := db.CreateRelation("r"); err != nil {
@@ -258,18 +256,18 @@ func TestCommitWaitCancelledContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- tx.CommitWait() }()
-	time.Sleep(20 * time.Millisecond) // let CommitWait enqueue and block
+	go func() { done <- tx.Commit() }()
+	time.Sleep(20 * time.Millisecond) // let Commit enqueue and block
 	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
 			db.ckptMu.Unlock()
-			t.Fatalf("CommitWait: got %v want context.Canceled", err)
+			t.Fatalf("Commit: got %v want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
 		db.ckptMu.Unlock()
-		t.Fatal("CommitWait did not return after cancellation")
+		t.Fatal("Commit did not return after cancellation")
 	}
 	db.ckptMu.Unlock()
 

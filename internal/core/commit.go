@@ -11,41 +11,45 @@ import (
 	"blobdb/internal/storage"
 )
 
-// Async commit pipeline.
+// Commit pipeline.
 //
-// The paper's commit path (§III-C, §V-A) keeps I/O off the critical path:
-// the WAL is group-committed and the extent flush is issued as asynchronous
-// I/O. With AsyncCommit enabled the engine defers WAL flushing, the extent
-// flush, and lock release to a background committer goroutine, and Commit
-// returns once the transaction is enqueued (bounded queue: a slow device
-// exerts backpressure). Hashing is no longer deferred: the streaming blob
-// writer absorbs every chunk into the resumable SHA-256 while the data is
-// still cache-hot, so Blob States arrive at the committer already final.
+// Every write transaction commits through one group committer (§III-C,
+// §V-A): Txn.Commit hands the transaction to the committer and returns
+// once the transaction's batch is durable and its extents are flushed.
+// The committer makes a batch durable with one shared WAL sync, then
+// submits the batch's extent write-back to the device queue and forms the
+// next batch while that flush runs, so I/O stays off the workers' critical
+// path. Hashing is not deferred: the streaming blob writer absorbs every
+// chunk into the resumable SHA-256 while the data is still cache-hot, so
+// Blob States arrive at the committer already final. The ordering rules
+// are specified in DESIGN.md §5, "Commit ordering".
 //
-// This is real pipelining, not an accounting trick: on a multicore machine
-// the committer overlaps with the workers exactly as the paper's group
-// committer and I/O workers do. Durability semantics are those of group
-// commit with asynchronous acknowledgement; tests that need a durability
-// point call DB.DrainCommits, and callers that need a per-transaction
-// durability ack (the network blob service) use Txn.CommitWait. Recovery
-// semantics are unchanged — a transaction is committed iff its commit
-// record (with the final, SHA-complete Blob State) is durable.
+// A transaction is committed iff its commit record (with the final,
+// SHA-complete Blob State) is durable. DB.DrainCommits waits for every
+// earlier commit; Txn.CommitAsync returns the ack channel instead of
+// waiting on it; DB.CommitBatchStats reports batch sizes.
 //
-// The committer drains its queue into batches: every transaction's WAL
-// records are flushed, then ONE device sync makes the whole batch durable
-// — so concurrent writers share WAL syncs exactly as the paper's group
-// commit shares them. Batch-size statistics are exposed through
-// DB.CommitBatchStats.
+// The committer goroutine runs only while work is queued: enqueue starts
+// it on an idle pipeline, and it exits once the queue is empty and the
+// last flight's device writes have landed. It waits for the landing, not
+// for finalization: the landing is signalled before the acks go out, so
+// waking the committer does not queue it ahead of the acknowledged
+// workers. A batch's finalizer goroutine ends when the batch is
+// finalized, so an idle DB holds no goroutine and a dropped one can be
+// garbage-collected.
 type committer struct {
 	ch   chan *Txn
-	wg   sync.WaitGroup
 	mu   sync.Mutex
 	err  error
-	once sync.Once
 	busy atomic.Int64 // nanoseconds spent finishing commits
 
 	batches   atomic.Int64 // shared WAL syncs issued for commit batches
 	batchTxns atomic.Int64 // transactions covered by those syncs
+
+	// runMu guards running; runCond signals the goroutine's exit.
+	runMu   sync.Mutex
+	runCond *sync.Cond
+	running bool
 
 	// Backpressure: the bytes pinned by in-flight commits are bounded so
 	// deep pipelines cannot wedge the buffer pool. Workers block in Commit
@@ -74,56 +78,116 @@ type committer struct {
 }
 
 // commitFlight is one batch's in-flight extent write-back. ticket covers
-// the device writes; done closes after finalization — pins released, frees
-// applied, locks released, durability acks delivered.
+// the device writes; landed closes once they completed (the idle
+// committer's exit signal); done closes after finalization — pins
+// released, frees applied, locks released, durability acks delivered.
 type commitFlight struct {
 	ticket *storage.Ticket
+	landed chan struct{}
 	done   chan struct{}
 }
 
 // maxCommitBatch caps how many transactions one WAL sync may cover.
 const maxCommitBatch = 32
 
-// startCommitter launches the background committer (AsyncCommit mode).
-func (db *DB) startCommitter() {
-	db.commit = &committer{
+// newCommitter sets up an idle pipeline; no goroutine runs until the
+// first enqueue.
+func (db *DB) newCommitter() *committer {
+	c := &committer{
 		ch: make(chan *Txn, 64),
 		// Half the buffer pool may be pinned by in-flight commits.
 		budgetBytes: int64(db.opts.PoolPages) * int64(db.dev.PageSize()) / 2,
 	}
-	db.commit.flowCond = sync.NewCond(&db.commit.flowMu)
-	db.commit.gateCond = sync.NewCond(&db.commit.gateMu)
-	db.commit.wg.Add(1)
-	go func() {
-		defer db.commit.wg.Done()
-		for {
-			t, ok := <-db.commit.ch
-			if !ok {
-				return
-			}
-			// While HoldCommits is in effect, park before forming the batch
-			// so every transaction enqueued under the hold lands in it.
-			db.commit.waitGate()
-			// Group commit: drain whatever else is already queued so the
-			// whole batch shares one WAL sync.
-			batch := append(make([]*Txn, 0, maxCommitBatch), t)
-		drain:
-			for len(batch) < maxCommitBatch {
-				select {
-				case t2, ok2 := <-db.commit.ch:
-					if !ok2 {
-						break drain
-					}
-					batch = append(batch, t2)
-				default:
-					break drain
-				}
-			}
-			start := time.Now() //blobvet:allow real committer-busy accounting for the benchmark overlap model
-			db.finishBatch(batch)
-			db.commit.busy.Add(int64(time.Since(start))) //blobvet:allow real committer-busy accounting for the benchmark overlap model
+	c.runCond = sync.NewCond(&c.runMu)
+	c.flowCond = sync.NewCond(&c.flowMu)
+	c.gateCond = sync.NewCond(&c.gateMu)
+	return c
+}
+
+// submit queues t (a transaction or a drain sentinel) and starts the
+// committer goroutine if the pipeline is idle. The start check follows the
+// send: the goroutine exits only after seeing an empty queue under runMu,
+// so every queued item is either seen by a running goroutine or followed
+// by this check.
+func (db *DB) submit(t *Txn) error {
+	c := db.commit
+	select {
+	case c.ch <- t:
+	case <-t.ctx.Done():
+		return t.ctx.Err()
+	}
+	c.runMu.Lock()
+	if !c.running {
+		c.running = true
+		go db.runCommitter()
+	}
+	c.runMu.Unlock()
+	return nil
+}
+
+// runCommitter forms and finishes batches until the pipeline is idle.
+func (db *DB) runCommitter() {
+	c := db.commit
+	for {
+		t, ok := c.next()
+		if !ok {
+			return
 		}
-	}()
+		// While HoldCommits is in effect, park before forming the batch
+		// so every transaction enqueued under the hold lands in it.
+		c.waitGate()
+		// Group commit: drain whatever else is already queued so the
+		// whole batch shares one WAL sync.
+		batch := append(make([]*Txn, 0, maxCommitBatch), t)
+	drain:
+		for len(batch) < maxCommitBatch {
+			select {
+			case t2 := <-c.ch:
+				batch = append(batch, t2)
+			default:
+				break drain
+			}
+		}
+		start := time.Now() //blobvet:allow real committer-busy accounting for the benchmark overlap model
+		db.finishBatch(batch)
+		c.busy.Add(int64(time.Since(start))) //blobvet:allow real committer-busy accounting for the benchmark overlap model
+	}
+}
+
+// next returns the next queued item. On an empty queue it waits for new
+// work or for the outstanding flight's writes to land; once the queue is
+// empty and no flight is writing it marks the pipeline idle and reports
+// false.
+func (c *committer) next() (*Txn, bool) {
+	for {
+		select {
+		case t := <-c.ch:
+			return t, true
+		default:
+		}
+		if f := c.currentFlight(); f != nil {
+			select {
+			case t := <-c.ch:
+				return t, true
+			case <-f.landed:
+			}
+		}
+		c.runMu.Lock()
+		if len(c.ch) == 0 {
+			c.running = false
+			c.runCond.Broadcast()
+			c.runMu.Unlock()
+			return nil, false
+		}
+		c.runMu.Unlock()
+	}
+}
+
+// currentFlight returns the most recently submitted flight, if any.
+func (c *committer) currentFlight() *commitFlight {
+	c.flightMu.Lock()
+	defer c.flightMu.Unlock()
+	return c.flight
 }
 
 // enqueue hands a transaction to the committer, blocking while the
@@ -164,13 +228,11 @@ func (c *committer) enqueue(t *Txn) error {
 		c.release(t)
 		return err
 	}
-	select {
-	case c.ch <- t:
-		return nil
-	case <-t.ctx.Done():
+	if err := t.db.submit(t); err != nil {
 		c.release(t) // undo the budget reservation
-		return t.ctx.Err()
+		return err
 	}
+	return nil
 }
 
 // release returns a finished transaction's bytes to the budget. The byte
@@ -204,17 +266,14 @@ func (c *committer) waitGate() {
 	c.gateMu.Unlock()
 }
 
-// HoldCommits pauses the async committer's batch formation: transactions
+// HoldCommits pauses the committer's batch formation: transactions
 // enqueued while the hold is in effect accumulate in the queue instead of
 // being committed one by one. ReleaseCommits lets them go as a single
 // group-commit batch of known composition — the crash-simulation harness
-// uses this to make batch boundaries deterministic. No-op without
-// AsyncCommit. Every HoldCommits must be paired with ReleaseCommits
-// (DrainCommits and CloseCommitter deadlock under an open hold).
+// uses this to make batch boundaries deterministic. Every HoldCommits
+// must be paired with ReleaseCommits; inside the window use CommitAsync
+// (Commit, DrainCommits and CloseCommitter deadlock under an open hold).
 func (db *DB) HoldCommits() {
-	if db.commit == nil {
-		return
-	}
 	db.commit.gateMu.Lock()
 	db.commit.gated = true
 	db.commit.gateMu.Unlock()
@@ -222,9 +281,6 @@ func (db *DB) HoldCommits() {
 
 // ReleaseCommits ends a HoldCommits window.
 func (db *DB) ReleaseCommits() {
-	if db.commit == nil {
-		return
-	}
 	db.commit.gateMu.Lock()
 	db.commit.gated = false
 	db.commit.gateCond.Broadcast()
@@ -235,9 +291,6 @@ func (db *DB) ReleaseCommits() {
 // commit pipeline (backpressure and drains). The benchmark model subtracts
 // it from wall time to recover pure worker CPU.
 func (db *DB) CommitBlocked() time.Duration {
-	if db.commit == nil {
-		return 0
-	}
 	return time.Duration(db.commit.blocked.Load())
 }
 
@@ -246,35 +299,26 @@ func (db *DB) CommitBlocked() time.Duration {
 // workers; the benchmark harness models that overlap explicitly so results
 // are comparable on single-core machines.
 func (db *DB) CommitterBusy() time.Duration {
-	if db.commit == nil {
-		return 0
-	}
 	return time.Duration(db.commit.busy.Load())
 }
 
-// CommitterErr reports the first background commit failure without
-// draining the pipeline (nil without AsyncCommit, or while healthy). A
-// non-nil result means the engine's durability path is poisoned — the
-// shard router uses this to fence a crashed engine and fail its
-// keyspace slice fast instead of queueing doomed work behind it.
+// CommitterErr reports the first commit failure without draining the
+// pipeline (nil while healthy). A non-nil result means the engine's
+// durability path is poisoned — the shard router uses this to fence a
+// crashed engine and fail its keyspace slice fast instead of queueing
+// doomed work behind it.
 func (db *DB) CommitterErr() error {
-	if db.commit == nil {
-		return nil
-	}
 	db.commit.mu.Lock()
 	defer db.commit.mu.Unlock()
 	return db.commit.err
 }
 
 // DrainCommits blocks until every enqueued commit has fully finished and
-// returns the first background commit error, if any.
+// returns the first commit error, if any.
 func (db *DB) DrainCommits() error {
-	if db.commit == nil {
-		return nil
-	}
 	start := time.Now() //blobvet:allow real drain-blocked accounting for the benchmark overlap model
 	done := make(chan struct{})
-	db.commit.ch <- &Txn{drain: done}
+	db.submit(&Txn{ctx: context.Background(), drain: done}) // cannot be cancelled
 	<-done
 	db.commit.blocked.Add(int64(time.Since(start))) //blobvet:allow real drain-blocked accounting for the benchmark overlap model
 	db.commit.mu.Lock()
@@ -282,14 +326,17 @@ func (db *DB) DrainCommits() error {
 	return db.commit.err
 }
 
-// CloseCommitter stops the pipeline (used by tests; safe to skip).
+// CloseCommitter drains the pipeline and waits for the committer
+// goroutine to exit, returning the first commit error. Safe to skip: an
+// idle pipeline holds no goroutine. A later Commit restarts it.
 func (db *DB) CloseCommitter() error {
-	if db.commit == nil {
-		return nil
-	}
 	err := db.DrainCommits()
-	db.commit.once.Do(func() { close(db.commit.ch) })
-	db.commit.wg.Wait()
+	c := db.commit
+	c.runMu.Lock()
+	for c.running {
+		c.runCond.Wait()
+	}
+	c.runMu.Unlock()
 	return err
 }
 
@@ -365,7 +412,7 @@ func (db *DB) finishBatch(batch []*Txn) {
 // under ckptMu exactly like the pre-pipeline committer, which is what
 // keeps crashsim's op ordering unchanged.
 func (db *DB) submitCommitFlush(txns []*Txn) {
-	f := &commitFlight{done: make(chan struct{})}
+	f := &commitFlight{landed: make(chan struct{}), done: make(chan struct{})}
 	f.ticket = db.queue.SubmitFunc(nil, func(m *simtime.Meter) error {
 		for _, t := range txns {
 			for _, p := range t.pendings {
@@ -383,13 +430,14 @@ func (db *DB) submitCommitFlush(txns []*Txn) {
 }
 
 // finalizeCommitFlight completes a batch once its write-back ticket
-// signals: failed transactions are failCommit'ed; successful ones release
-// their pinned frames, apply their frees, drop their locks, and deliver
-// their durability acks (waitC last, so an acked caller observes every
-// other effect). Runs off the committer goroutine — the committer is
-// already forming the next batch.
+// signals, after closing landed: failed transactions are failCommit'ed;
+// successful ones release their pinned frames, apply their frees, drop
+// their locks, and deliver their durability acks (waitC last, so an acked
+// caller observes every other effect). Runs off the committer goroutine —
+// the committer is already forming the next batch.
 func (db *DB) finalizeCommitFlight(f *commitFlight, txns []*Txn) {
 	db.queue.Wait(f.ticket)
+	close(f.landed)
 	for _, t := range txns {
 		if t.flushErr != nil {
 			db.failCommit(t, t.flushErr)
@@ -404,9 +452,7 @@ func (db *DB) finalizeCommitFlight(f *commitFlight, txns []*Txn) {
 		db.endTxn(t.id)
 		t.writer.Close()
 		db.commit.release(t)
-		if t.waitC != nil {
-			t.waitC <- nil
-		}
+		t.waitC <- nil
 	}
 	close(f.done)
 }
@@ -417,13 +463,7 @@ func (db *DB) finalizeCommitFlight(f *commitFlight, txns []*Txn) {
 // barrier: after a join, no committed-but-unflushed extents precede the
 // current batch.
 func (db *DB) joinCommitFlight() {
-	if db.commit == nil {
-		return
-	}
-	db.commit.flightMu.Lock()
-	f := db.commit.flight
-	db.commit.flightMu.Unlock()
-	if f != nil {
+	if f := db.commit.currentFlight(); f != nil {
 		db.queue.Wait(f.ticket)
 	}
 }
@@ -432,22 +472,16 @@ func (db *DB) joinCommitFlight() {
 // finalized — acks delivered, frees applied — the drain sentinel's strong
 // barrier.
 func (db *DB) drainCommitFlight() {
-	if db.commit == nil {
-		return
-	}
-	db.commit.flightMu.Lock()
-	f := db.commit.flight
-	db.commit.flightMu.Unlock()
-	if f != nil {
+	if f := db.commit.currentFlight(); f != nil {
 		<-f.done
 	}
 }
 
 // failCommit records a background commit failure and releases everything
 // the transaction holds — pinned frames, locks, WAL buffer, byte budget —
-// so the system cannot wedge; a CommitWait caller receives the error.
+// so the system cannot wedge; the waiting Commit receives the error.
 func (db *DB) failCommit(t *Txn, err error) {
-	err = fmt.Errorf("core: async commit txn %d: %w", t.id, err)
+	err = fmt.Errorf("core: commit txn %d: %w", t.id, err)
 	db.commit.mu.Lock()
 	if db.commit.err == nil {
 		db.commit.err = err
@@ -460,18 +494,13 @@ func (db *DB) failCommit(t *Txn, err error) {
 	db.endTxn(t.id)
 	t.writer.Close()
 	db.commit.release(t)
-	if t.waitC != nil {
-		t.waitC <- err
-	}
+	t.waitC <- err
 }
 
-// CommitBatchStats reports group-commit batching on the async pipeline:
+// CommitBatchStats reports group-commit batching on the pipeline:
 // the number of shared WAL syncs issued for commit batches and the number
 // of transactions those syncs covered. txns/flushes > 1 means concurrent
 // commits are sharing durability syncs.
 func (db *DB) CommitBatchStats() (flushes, txns int64) {
-	if db.commit == nil {
-		return 0, 0
-	}
 	return db.commit.batches.Load(), db.commit.batchTxns.Load()
 }

@@ -4,18 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
-func asyncOpts() options {
-	o := testOpts()
-	o.AsyncCommit = true
-	return o
-}
-
 func TestAsyncCommitRoundtrip(t *testing.T) {
-	db := openTest(t, asyncOpts())
+	db := openTest(t, testOpts())
 	defer db.CloseCommitter()
 	db.CreateRelation("r")
 	rng := rand.New(rand.NewSource(1))
@@ -48,7 +44,7 @@ func TestAsyncCommitReadYourOwnWrite(t *testing.T) {
 	// A reader after Commit (but possibly before the committer finishes)
 	// must still see the staged value; the record lock serializes
 	// conflicting writers.
-	db := openTest(t, asyncOpts())
+	db := openTest(t, testOpts())
 	defer db.CloseCommitter()
 	db.CreateRelation("r")
 	tx := db.Begin(nil)
@@ -68,7 +64,7 @@ func TestAsyncCommitSequentialReplaces(t *testing.T) {
 	// Replacing the same key repeatedly exercises lock handoff between the
 	// worker and the committer: each writer must block until the previous
 	// commit's lock release.
-	db := openTest(t, asyncOpts())
+	db := openTest(t, testOpts())
 	defer db.CloseCommitter()
 	db.CreateRelation("r")
 	for i := 0; i < 50; i++ {
@@ -92,7 +88,7 @@ func TestAsyncCommitSequentialReplaces(t *testing.T) {
 func TestAsyncCommitRecovery(t *testing.T) {
 	// Transactions committed through the pipeline must survive a crash once
 	// drained (the commit record carries the final SHA-complete state).
-	o := asyncOpts()
+	o := testOpts()
 	db := openTest(t, o)
 	db.CreateRelation("r")
 	content := bytes.Repeat([]byte{0x3C}, 50<<10)
@@ -104,10 +100,8 @@ func TestAsyncCommitRecovery(t *testing.T) {
 	if err := db.DrainCommits(); err != nil {
 		t.Fatal(err)
 	}
-	// Crash: recover on the same device (synchronous mode for clarity).
-	o2 := o
-	o2.AsyncCommit = false
-	db2, rep, err := recoverDB(o2, nil)
+	// Crash: recover on the same device.
+	db2, rep, err := recoverDB(o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +111,13 @@ func TestAsyncCommitRecovery(t *testing.T) {
 	tx2 := db2.Begin(nil)
 	got, err := tx2.ReadBlobBytes("r", []byte("k"))
 	if err != nil || !bytes.Equal(got, content) {
-		t.Errorf("async-committed blob lost: %v", err)
+		t.Errorf("committed blob lost: %v", err)
 	}
 	tx2.Commit()
 }
 
 func TestAsyncCommitAbortBeforeEnqueue(t *testing.T) {
-	db := openTest(t, asyncOpts())
+	db := openTest(t, testOpts())
 	defer db.CloseCommitter()
 	db.CreateRelation("r")
 	tx := db.Begin(nil)
@@ -147,7 +141,7 @@ func TestAsyncCommitAbortBeforeEnqueue(t *testing.T) {
 }
 
 func TestCommitterBusyAccounting(t *testing.T) {
-	db := openTest(t, asyncOpts())
+	db := openTest(t, testOpts())
 	defer db.CloseCommitter()
 	db.CreateRelation("r")
 	if db.CommitterBusy() != 0 {
@@ -164,18 +158,18 @@ func TestCommitterBusyAccounting(t *testing.T) {
 	}
 }
 
-func TestCommitWaitDurabilityAck(t *testing.T) {
-	// CommitWait must not return until the committer has finished the txn:
+func TestCommitDurabilityAck(t *testing.T) {
+	// Commit must not return until the committer has finished the txn:
 	// the Blob State's SHA-256 is computed on the committer, so it must be
-	// fully populated the instant CommitWait returns — no DrainCommits.
-	db := openTest(t, asyncOpts())
+	// fully populated the instant Commit returns — no DrainCommits.
+	db := openTest(t, testOpts())
 	defer db.CloseCommitter()
 	db.CreateRelation("r")
 	tx := db.Begin(nil)
 	if err := putBlob(tx, "r", []byte("k"), make([]byte, 200<<10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.CommitWait(); err != nil {
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	tx2 := db.Begin(nil)
@@ -184,15 +178,15 @@ func TestCommitWaitDurabilityAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.SHA256 == [32]byte{} {
-		t.Error("CommitWait returned before the committer finalized the Blob State hash")
+		t.Error("Commit returned before the committer finalized the Blob State hash")
 	}
 	tx2.Commit()
 }
 
-func TestCommitWaitConcurrentBatchStats(t *testing.T) {
-	// Concurrent CommitWait writers all get durability acks, and the
+func TestCommitConcurrentBatchStats(t *testing.T) {
+	// Concurrent Commit writers all get durability acks, and the
 	// pipeline accounts every one of them against shared WAL syncs.
-	db := openTest(t, asyncOpts())
+	db := openTest(t, testOpts())
 	defer db.CloseCommitter()
 	db.CreateRelation("r")
 	const writers = 8
@@ -208,7 +202,7 @@ func TestCommitWaitConcurrentBatchStats(t *testing.T) {
 					errs[w] = err
 					return
 				}
-				if err := tx.CommitWait(); err != nil {
+				if err := tx.Commit(); err != nil {
 					errs[w] = err
 					return
 				}
@@ -230,32 +224,79 @@ func TestCommitWaitConcurrentBatchStats(t *testing.T) {
 	}
 }
 
-func TestCommitWaitOnSyncDBAndReadOnlyTxn(t *testing.T) {
-	// Without a committer (sync mode) and for read-only txns, CommitWait
-	// degrades to a plain Commit — no channel, no hang.
-	db := openTest(t, testOpts())
-	db.CreateRelation("r")
-	tx := db.Begin(nil)
-	if err := putBlob(tx, "r", []byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.CommitWait(); err != nil {
-		t.Fatal(err)
-	}
-	adb := openTest(t, asyncOpts())
-	defer adb.CloseCommitter()
-	ro := adb.Begin(nil)
-	if err := ro.CommitWait(); err != nil {
-		t.Errorf("read-only CommitWait: %v", err)
+// waitGoroutines polls until runtime.NumGoroutine() is back at want: a
+// committer exits just after delivering its last ack, so the count drops
+// a moment after Commit returns.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want %d: an idle DB kept its committer", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
-func TestDrainCommitsOnSyncDB(t *testing.T) {
-	db := openTest(t, testOpts()) // synchronous mode
+// TestIdleDBHoldsNoGoroutine: the committer runs only while work is
+// queued, so DBs that committed and were dropped without CloseCommitter
+// leave no goroutine behind, and a read-only commit starts none.
+// CloseCommitter still drains commits that are in flight.
+func TestIdleDBHoldsNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 4; i++ {
+		db := openTest(t, testOpts())
+		db.CreateRelation("r")
+		tx := db.Begin(nil)
+		if err := putBlob(tx, "r", []byte("k"), make([]byte, 20<<10)); err != nil {
+			t.Fatal(err)
+		}
+		mustCommit(t, tx)
+		ro := db.Begin(nil)
+		if _, err := ro.BlobState("r", []byte("k")); err != nil {
+			t.Fatal(err)
+		}
+		mustCommit(t, ro)
+	}
+	waitGoroutines(t, base)
+	ro := openTest(t, testOpts()).Begin(nil)
+	mustCommit(t, ro)
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("read-only commit: %d goroutines, want %d", n, base)
+	}
+
+	db := openTest(t, testOpts())
+	db.CreateRelation("r")
 	if err := db.DrainCommits(); err != nil {
-		t.Errorf("DrainCommits on sync DB = %v", err)
+		t.Fatalf("DrainCommits on an idle DB: %v", err)
 	}
-	if db.CommitterBusy() != 0 {
-		t.Error("sync DB has no committer")
+	var acks []<-chan error
+	for i := 0; i < 8; i++ {
+		tx := db.Begin(nil)
+		if err := putBlob(tx, "r", []byte(fmt.Sprintf("k%d", i)), make([]byte, 20<<10)); err != nil {
+			t.Fatal(err)
+		}
+		ack, err := tx.CommitAsync()
+		if err != nil {
+			t.Fatal(err)
+		}
+		acks = append(acks, ack)
 	}
+	if err := db.CloseCommitter(); err != nil {
+		t.Fatal(err)
+	}
+	for i, ack := range acks {
+		select {
+		case err := <-ack:
+			if err != nil {
+				t.Errorf("commit %d: %v", i, err)
+			}
+		default:
+			t.Errorf("commit %d not acknowledged when CloseCommitter returned", i)
+		}
+	}
+	if _, txns := db.CommitBatchStats(); txns != 8 {
+		t.Errorf("committed %d txns, want 8", txns)
+	}
+	waitGoroutines(t, base)
 }

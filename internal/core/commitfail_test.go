@@ -51,13 +51,13 @@ func writeBlob(t *testing.T, tx *Txn, rel string, key, content []byte) {
 	}
 }
 
-// TestFailedCommitReleasesPins pins the commit-error unwind: a WAL sync
-// failure must not leave the transaction's staged frames pinned and
+// TestFailedAsyncCommitReleasesPins pins the commit-error unwind: a WAL
+// sync failure must not leave the transaction's staged frames pinned and
 // evict-protected, or the pool wedges for every later transaction. The
 // leak is invisible to the framerelease analyzer (the pins live in
 // Txn.pendings struct fields), so this test is its regression guard; the
 // distilled intraprocedural shape is pinned in the analyzer's testdata.
-func TestFailedCommitReleasesPins(t *testing.T) {
+func TestFailedAsyncCommitReleasesPins(t *testing.T) {
 	dev := &syncFailDev{Device: storage.NewMemDevice(ps, 1<<15, nil)}
 	db, err := New(dev, WithPoolPages(1<<12), WithLogPages(1<<11), WithCkptPages(1<<11))
 	if err != nil {
@@ -87,7 +87,7 @@ func TestFailedCommitReleasesPins(t *testing.T) {
 	dev.armed.Store(false)
 
 	if n := drainPool(t, db); n != 0 {
-		t.Fatalf("%d pages still resident after failed commit + EvictAll: the failed transaction leaked pinned frames", n)
+		t.Fatalf("%d pages still resident after failed commit + EvictAll: failCommit leaked pinned frames", n)
 	}
 
 	// The pool must still be fully usable: commit and read back a blob.
@@ -101,42 +101,7 @@ func TestFailedCommitReleasesPins(t *testing.T) {
 	}
 	tx.Commit()
 	if !bytes.Equal(got, content) {
-		t.Fatal("content mismatch after recovery from failed commit")
-	}
-}
-
-// TestFailedAsyncCommitReleasesPins covers the same unwind through the
-// background committer's failCommit path.
-func TestFailedAsyncCommitReleasesPins(t *testing.T) {
-	dev := &syncFailDev{Device: storage.NewMemDevice(ps, 1<<15, nil)}
-	db, err := New(dev, WithPoolPages(1<<12), WithLogPages(1<<11), WithCkptPages(1<<11),
-		WithAsyncCommit(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.CreateRelation("r"); err != nil {
-		t.Fatal(err)
-	}
-	content := bytes.Repeat([]byte("durable? "), 3*ps/9)
-
-	tx := db.Begin(nil)
-	writeBlob(t, tx, "r", []byte("ok"), content)
-	if err := tx.CommitWait(); err != nil {
-		t.Fatal(err)
-	}
-
-	dev.armed.Store(true)
-	tx = db.Begin(nil)
-	if err := tx.UpdateBlob("r", []byte("ok"), 0, []byte("PATCH"), blob.UpdateDelta); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.CommitWait(); !errors.Is(err, errInjectedSync) {
-		t.Fatalf("CommitWait under failing sync: got %v, want injected failure", err)
-	}
-	dev.armed.Store(false)
-
-	if n := drainPool(t, db); n != 0 {
-		t.Fatalf("%d pages still resident after failed async commit + EvictAll: failCommit leaked pinned frames", n)
+		t.Fatal("content mismatch after a failed commit")
 	}
 	if err := db.CloseCommitter(); !errors.Is(err, errInjectedSync) {
 		t.Fatalf("CloseCommitter: got %v, want the sticky injected failure", err)

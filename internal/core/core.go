@@ -51,12 +51,6 @@ type options struct {
 	WorkerLocalAliasPages int
 	// WALBufferCap sizes per-transaction WAL buffers (default 10 MB).
 	WALBufferCap int
-	// AsyncCommit enables the background commit pipeline (asynccommit.go):
-	// hashing, WAL flush, and extent flush run on a committer goroutine and
-	// Commit returns at enqueue. The blob service serves through it and
-	// acks each write with CommitWait; tests needing a durability point
-	// call DrainCommits.
-	AsyncCommit bool
 	// QueueDepth sizes the device submission/completion queue (default
 	// storage.DefaultQueueDepth).
 	QueueDepth int
@@ -86,7 +80,7 @@ type DB struct {
 	reclaim reclaimer
 	dedup   dedup
 	nextTxn atomic.Uint64
-	commit  *committer        // non-nil in AsyncCommit mode
+	commit  *committer        // the group committer (commit.go)
 	queue   *storage.SubQueue // device submission queue (pool I/O + commit flush)
 
 	// ckptMu serializes checkpoints against commits so a checkpoint image
@@ -168,9 +162,7 @@ func open(o options) (*DB, error) {
 	db.locks.init()
 	db.reclaim.init()
 	db.dedup.init(db.wal.NewWriter())
-	if o.AsyncCommit {
-		db.startCommitter()
-	}
+	db.commit = db.newCommitter()
 	return db, nil
 }
 

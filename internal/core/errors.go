@@ -27,7 +27,7 @@ var (
 	// BLOB size (the extent tier table is exhausted, §III-A). It aliases
 	// blob.ErrTooLarge so both layers classify identically.
 	ErrBlobTooLarge = blob.ErrTooLarge
-	// ErrBlobWriterOpen reports Commit/CommitWait on a transaction that
+	// ErrBlobWriterOpen reports Commit/CommitAsync on a transaction that
 	// still has an unsealed blob.Writer; Close or Abort the writer first.
 	ErrBlobWriterOpen = errors.New("core: transaction has an open blob writer")
 )

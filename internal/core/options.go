@@ -42,11 +42,10 @@ func WithAliasPages(n int) Option { return func(o *options) { o.WorkerLocalAlias
 // 10 MB).
 func WithWALBufferCap(n int) Option { return func(o *options) { o.WALBufferCap = n } }
 
-// WithAsyncCommit enables the background commit pipeline (asynccommit.go):
-// WAL flush, extent flush, and lock release run on a committer goroutine
-// and Commit returns at enqueue. Callers needing a per-transaction
-// durability ack use Txn.CommitWait.
-func WithAsyncCommit(on bool) Option { return func(o *options) { o.AsyncCommit = on } }
+// WithAsyncCommit does nothing: every write transaction commits through
+// the group committer (commit.go). It is kept for perfbench's engine
+// driver and goes with that module's next change.
+func WithAsyncCommit(bool) Option { return func(*options) {} }
 
 // WithQueueDepth sizes the device submission/completion queue that the
 // buffer pool's miss loads, eviction write-back, and the pipelined
@@ -63,7 +62,7 @@ func WithInlineQueue(on bool) Option { return func(o *options) { o.InlineQueue =
 
 // New initializes a database over dev with functional options:
 //
-//	db, err := core.New(dev, core.WithPoolPages(1<<14), core.WithAsyncCommit(true))
+//	db, err := core.New(dev, core.WithPoolPages(1<<14))
 func New(dev storage.Device, opts ...Option) (*DB, error) {
 	o := options{Dev: dev}
 	for _, f := range opts {

@@ -58,7 +58,7 @@ func (db *DB) ApplyReplicated(recs []wal.Record, fetch BlobFetch) error {
 			return err
 		}
 	}
-	return tx.CommitWait()
+	return tx.Commit()
 }
 
 func (t *Txn) applyReplicatedRecord(rec wal.Record, fetch BlobFetch) error {

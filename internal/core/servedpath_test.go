@@ -14,7 +14,7 @@ import (
 )
 
 // TestMixedLoadServedPath runs concurrent aliased readers against
-// overwriting writers on the async group-commit engine, once with the
+// overwriting writers on the group-commit engine, once with the
 // inline submission queue and once with the queued one, and checks what
 // the served read/write path relies on: small blobs alias in the
 // worker-local area and large ones reserve the shared area, the queued
@@ -39,7 +39,6 @@ func TestMixedLoadServedPath(t *testing.T) {
 			o := testOpts()
 			o.PoolPages = 256 // below the 288-page working set: reads go cold
 			o.WorkerLocalAliasPages = 8
-			o.AsyncCommit = true
 			o.InlineQueue = inline
 			db := openTest(t, o)
 			defer db.CloseCommitter()
@@ -63,7 +62,7 @@ func TestMixedLoadServedPath(t *testing.T) {
 					tx.Abort()
 					return err
 				}
-				return tx.CommitWait()
+				return tx.Commit()
 			}
 			read := func(i int) error {
 				tx := db.BeginCtx(ctx, nil)

@@ -40,7 +40,7 @@ type Txn struct {
 	open []*blob.Writer // unsealed streaming writers; must close before Commit
 
 	drain         chan struct{} // sentinel marker for DrainCommits
-	waitC         chan error    // CommitWait: committer's durability ack
+	waitC         chan error    // committer's durability ack
 	inflightBytes int64         // pinned bytes, snapshotted at enqueue
 	flushErr      error         // extent write-back failure, set on the flight
 }
@@ -61,7 +61,7 @@ func (db *DB) Begin(meter *simtime.Meter) *Txn {
 
 // BeginCtx starts a transaction bound to ctx: streaming blob writers stop
 // when ctx is cancelled, a Commit enqueue under backpressure gives up
-// (rolling the transaction back), and CommitWait stops waiting for its
+// (rolling the transaction back), and Commit stops waiting for its
 // durability ack. A nil ctx means context.Background().
 func (db *DB) BeginCtx(ctx context.Context, meter *simtime.Meter) *Txn {
 	if ctx == nil {
@@ -244,24 +244,18 @@ func (t *Txn) newBlobWriterOpts(ctx context.Context, relName string, key []byte,
 	if ctx == nil {
 		ctx = t.ctx
 	}
-	flushMeter := t.meter
-	if t.db.commit != nil {
-		// Async commit: flushes overlap with the workers, charged as
-		// background work — exactly like the committer's commit-time flush.
-		flushMeter = nil
-	}
 	var tee func([]byte) error
 	if t.db.opts.PhysicalBlobLog {
-		// Our.physlog baseline: the blob content also goes through the WAL.
+		// Our.physlog baseline: the blob content also goes through the
+		// WAL, charged as background work like the committer's flush.
 		tee = func(chunk []byte) error {
-			return t.log().AppendBlobData(flushMeter, t.id, chunk)
+			return t.log().AppendBlobData(nil, t.id, chunk)
 		}
 	}
 	keyCopy := append([]byte(nil), key...)
 	var w *blob.Writer
 	w, err = t.db.blobs.NewWriter(blob.WriterOpts{
 		Meter:         t.meter,
-		FlushMeter:    flushMeter,
 		Ctx:           ctx,
 		Stream:        stream,
 		Tee:           tee,
@@ -531,17 +525,58 @@ func (t *Txn) Scan(relName string, from []byte, fn func(key []byte, inline []byt
 	return ferr
 }
 
-// Commit runs the §III-C pipeline: WAL durable first (the Blob State
-// records), then the single extent flush, then deferred frees. It fails
-// with ErrBlobWriterOpen while a streaming writer is unsealed, and in
-// AsyncCommit mode a context cancellation during the backpressured
-// enqueue rolls the transaction back and returns the context's error.
+// Commit hands the transaction to the group committer and returns once its
+// batch's commit record is durable and its extents are flushed (§III-C);
+// locks and deferred frees are released by then too. Concurrent committers
+// share WAL syncs: each waits only for its own batch. A read-only
+// transaction commits inline. Commit fails with ErrBlobWriterOpen while a
+// streaming writer is unsealed. A context cancellation during the
+// backpressured enqueue rolls the transaction back and returns the
+// context's error; one while waiting for the ack returns the context's
+// error at once, and the commit still completes in the background (the
+// ack channel is buffered), so a handler whose client hung up leaks no
+// goroutine.
 func (t *Txn) Commit() error {
-	if err := t.check(); err != nil {
+	ack, err := t.commit()
+	if err != nil || ack == nil {
 		return err
 	}
+	select {
+	case err := <-ack:
+		return err
+	case <-t.ctx.Done():
+		return t.ctx.Err()
+	}
+}
+
+// CommitWait is Commit, kept for perfbench's engine driver; it goes with
+// that module's next change.
+func (t *Txn) CommitWait() error { return t.Commit() }
+
+// CommitAsync commits like Commit but returns the durability ack channel
+// instead of blocking on it, so one goroutine can enqueue several
+// transactions into the same group-commit batch (under DB.HoldCommits) and
+// collect the acks afterwards. The channel is buffered: the committer
+// never blocks delivering the ack. For a read-only transaction the
+// returned channel already holds nil.
+func (t *Txn) CommitAsync() (<-chan error, error) {
+	ack, err := t.commit()
+	if err == nil && ack == nil {
+		done := make(chan error, 1)
+		done <- nil
+		ack = done
+	}
+	return ack, err
+}
+
+// commit finishes a read-only transaction inline (returning a nil ack
+// channel) and enqueues a write transaction on the committer.
+func (t *Txn) commit() (<-chan error, error) {
+	if err := t.check(); err != nil {
+		return nil, err
+	}
 	if len(t.open) > 0 {
-		return ErrBlobWriterOpen
+		return nil, ErrBlobWriterOpen
 	}
 	t.done = true
 	if !t.wrote {
@@ -549,101 +584,16 @@ func (t *Txn) Commit() error {
 		t.writer.Close()
 		t.releaseLocks()
 		t.db.endTxn(t.id)
-		return nil
+		return nil, nil
 	}
-	if t.db.commit != nil {
-		// AsyncCommit: hand the expensive half to the committer. Locks are
-		// released there after the flush, preserving write-write ordering;
-		// the enqueue blocks under byte-budget backpressure.
-		if err := t.db.commit.enqueue(t); err != nil {
-			// Cancelled before the handoff: the committer never saw the
-			// transaction, so roll it back here.
-			t.rollback()
-			return err
-		}
-		return nil
-	}
-	w := t.log()
-	defer w.Close()
-	t.db.ckptMu.Lock()
-	err := w.Commit(t.meter, t.id)
-	if err == nil {
-		for _, p := range t.pendings {
-			if err = p.Flush(t.meter); err != nil {
-				break
-			}
-		}
-	}
-	t.db.ckptMu.Unlock()
-	if err != nil {
-		// The commit did not complete: unpin the staged frames (and drop
-		// their uncommitted page images) or the pool wedges on leaked
-		// evict-protected pins while the caller handles the error.
-		for _, p := range t.pendings {
-			p.ReleaseUnflushed()
-		}
-		t.releaseLocks()
-		t.db.endTxn(t.id)
-		return fmt.Errorf("core: commit txn %d: %w", t.id, err)
-	}
-	for _, p := range t.pendings {
-		p.Release()
-	}
-	t.db.registerDedup(t.regs)
-	t.db.deferFrees(t.id, t.frees)
-	t.releaseLocks()
-	t.db.endTxn(t.id)
-	return nil
-}
-
-// CommitWait commits like Commit but, in AsyncCommit mode, blocks until
-// the transaction's group-commit batch is durable and its extents are
-// flushed — the per-request durability acknowledgement a network PUT
-// needs. Concurrent CommitWait callers still share WAL syncs: each waits
-// only for its own batch, not for the pipeline to drain.
-//
-// If the transaction's context is cancelled while waiting, CommitWait
-// returns the context error immediately: the commit still completes in
-// the background (the ack channel is buffered, so the committer never
-// blocks), but the caller — typically an HTTP handler whose client hung
-// up — stops waiting and leaks no goroutine.
-func (t *Txn) CommitWait() error {
-	if t.db.commit == nil || !t.wrote || len(t.open) > 0 {
-		return t.Commit() // synchronous commit is already a durability point
-	}
-	if err := t.check(); err != nil {
-		return err
-	}
+	// Locks are released by the committer after the flush, preserving
+	// write-write ordering; the enqueue blocks under byte-budget
+	// backpressure.
 	t.waitC = make(chan error, 1)
-	if err := t.Commit(); err != nil {
-		return err
-	}
-	select {
-	case err := <-t.waitC:
-		return err
-	case <-t.ctx.Done():
-		return t.ctx.Err()
-	}
-}
-
-// CommitAsync commits like CommitWait but returns the durability ack
-// channel instead of blocking on it, so one goroutine can enqueue several
-// transactions into the same group-commit batch (under DB.HoldCommits) and
-// collect the acks afterwards. The channel is buffered: the committer
-// never blocks delivering the ack. Outside AsyncCommit mode (or for a
-// read-only transaction) the commit happens synchronously and the returned
-// channel already holds its result.
-func (t *Txn) CommitAsync() (<-chan error, error) {
-	if t.db.commit == nil || !t.wrote || len(t.open) > 0 {
-		ch := make(chan error, 1)
-		ch <- t.Commit()
-		return ch, nil
-	}
-	if err := t.check(); err != nil {
-		return nil, err
-	}
-	t.waitC = make(chan error, 1)
-	if err := t.Commit(); err != nil {
+	if err := t.db.commit.enqueue(t); err != nil {
+		// Cancelled before the handoff: the committer never saw the
+		// transaction, so roll it back here.
+		t.rollback()
 		return nil, err
 	}
 	return t.waitC, nil
@@ -708,7 +658,10 @@ func CrashBeforeExtentFlush(t *Txn) error {
 	w := t.log()
 	defer w.Close()
 	t.db.endTxn(t.id)
-	return w.Commit(t.meter, t.id)
+	if err := w.CommitNoSync(t.meter, t.id); err != nil {
+		return err
+	}
+	return t.db.wal.Sync(t.meter)
 }
 
 // WriteAmplification reports device bytes written divided by logical blob

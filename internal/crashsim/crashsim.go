@@ -54,14 +54,13 @@ type Config struct {
 	Steps     int                              // ops per trace
 	Points    int                              // crash points sampled per (trace, mode)
 	Modes     []storage.TearMode               // tear models to explore
-	Sync      bool                             // use the synchronous commit path instead of the async pipeline
 	SmallPool bool                             // shrink the buffer pool to force eviction during flushes
 	Dedup     bool                             // generate dedup/relocation-heavy traces (put-dup, relocate families)
 	Logf      func(format string, args ...any) // optional progress output
 }
 
 // DefaultConfig returns the exploration parameters used by the short CI
-// job: both tear modes, async pipeline, enough sampled points to clear
+// job: both tear modes, enough sampled points to clear
 // 500 schedules.
 func DefaultConfig(seed int64) Config {
 	return Config{
@@ -109,12 +108,11 @@ func (c Config) poolPages() int {
 	return poolNormal
 }
 
-func (c Config) dbOptions(async bool) []core.Option {
+func (c Config) dbOptions() []core.Option {
 	return []core.Option{
 		core.WithLogPages(simLogPages),
 		core.WithCkptPages(simCkptPages),
 		core.WithPoolPages(c.poolPages()),
-		core.WithAsyncCommit(async),
 		// The inline queue runs every submission synchronously on the
 		// submitting goroutine: the pipelined committer and queue-routed
 		// pool I/O exercise the same code paths as the real server, but the
@@ -164,7 +162,7 @@ func (c Config) RunSchedule(s Schedule, wantHashes []uint64) (*ScheduleResult, e
 	}
 	r := &runner{cfg: c, sched: s, fd: fd, model: refmodel.New()}
 
-	r.db, err = core.New(fd, c.dbOptions(!c.Sync)...)
+	r.db, err = core.New(fd, c.dbOptions()...)
 	if err != nil {
 		return nil, fmt.Errorf("open: %w", err)
 	}
@@ -455,7 +453,7 @@ func (r *runner) verifyRecovery() (*core.RecoveryReport, error) {
 	if img == nil {
 		return nil, fmt.Errorf("crashsim: device never crashed")
 	}
-	rep, snap, err := recoverAndCheck(img, r.cfg.dbOptions(false))
+	rep, snap, err := recoverAndCheck(img, r.cfg.dbOptions())
 	if err != nil {
 		return rep, err
 	}

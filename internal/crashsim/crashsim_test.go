@@ -15,7 +15,6 @@ var (
 	flagTraceSeed = flag.Int64("trace-seed", 0, "replay: trace seed of the schedule")
 	flagCrashOp   = flag.Int("crashpoint", -2, "replay: mutating-op index to crash at (-1: end of trace)")
 	flagTear      = flag.String("tear", "scramble", "replay: tear mode (ordered|scramble)")
-	flagSync      = flag.Bool("synccommit", false, "replay: use the synchronous commit path")
 	flagSmall     = flag.Bool("smallpool", false, "replay: shrink the buffer pool")
 	flagDedup     = flag.Bool("dedup", false, "replay: use the dedup/relocation-heavy trace generator")
 )
@@ -32,7 +31,7 @@ func reportFailures(t *testing.T, stats ExploreStats, failures []Failure) {
 }
 
 // TestCrashSchedulesShort samples the (trace, crash point) space under
-// both tear modes with the async group-commit pipeline — the bounded
+// both tear modes — the bounded
 // budget run CI executes on every PR. On failure, each offending schedule
 // prints its replay invocation.
 func TestCrashSchedulesShort(t *testing.T) {
@@ -80,22 +79,20 @@ func TestCrashSchedulesDedup(t *testing.T) {
 	}
 }
 
-// TestCrashSchedulesDedupSync contrasts the dedup families against the
-// synchronous commit path, where refcount-delta WAL appends interleave
-// differently with the extent flush.
+// TestCrashSchedulesDedupSync sweeps a second seed of the dedup families
+// with a smaller budget.
 func TestCrashSchedulesDedupSync(t *testing.T) {
 	cfg := DefaultDedupConfig(*flagSeed + 4)
 	cfg.Traces = 2
 	cfg.Points = 15
-	cfg.Sync = true
 	cfg.Logf = t.Logf
 	stats, failures := Explore(cfg)
 	reportFailures(t, stats, failures)
 }
 
 // TestCrashSchedulesSmallPool runs a smaller sweep with a pool sized to
-// force eviction during flushes (the prevent_evict window) and the
-// synchronous commit path for contrast.
+// force eviction during flushes (the prevent_evict window), then a second
+// seed with the normal pool.
 func TestCrashSchedulesSmallPool(t *testing.T) {
 	cfg := DefaultConfig(*flagSeed + 1)
 	cfg.Traces = 2
@@ -108,7 +105,6 @@ func TestCrashSchedulesSmallPool(t *testing.T) {
 	cfg = DefaultConfig(*flagSeed + 2)
 	cfg.Traces = 2
 	cfg.Points = 10
-	cfg.Sync = true
 	cfg.Logf = t.Logf
 	stats, failures = Explore(cfg)
 	reportFailures(t, stats, failures)
@@ -126,7 +122,6 @@ func TestReplaySchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(*flagSeed)
-	cfg.Sync = *flagSync
 	cfg.SmallPool = *flagSmall
 	cfg.Dedup = *flagDedup
 	s := Schedule{TraceSeed: *flagTraceSeed, CrashOp: *flagCrashOp, Mode: mode}
@@ -142,11 +137,12 @@ func TestReplaySchedule(t *testing.T) {
 //
 // Torn-second-checkpoint data loss: before checkpoints were dual-slot
 // (core/recover.go), the single checkpoint image was overwritten in
-// place. Crash point 70 of this trace lands inside the SECOND checkpoint
-// image write: the epoch-1 redo base tears (CRC fails), recovery falls
-// back to epoch 0, and the WAL scan — which requires an exact epoch
-// match — filters out every epoch-1 flush block. Recovery came back
-// empty: total loss of all committed blobs.
+// place. Crash point 68 of this trace lands inside the SECOND checkpoint
+// image write (the record pass writes checkpoint images at ops 55, 68,
+// 71 and 117): with one slot the epoch-1 redo base tears (CRC fails),
+// recovery falls back to epoch 0, and the WAL scan — which requires an
+// exact epoch match — filters out every epoch-1 flush block. Recovery
+// came back empty: total loss of all committed blobs.
 // Unconditionally-replayed refcount decrement double-free: apply-time
 // ledger decrements were originally logged under txn id 0 and replayed
 // unconditionally. Crash point 108 of this dedup trace syncs a
@@ -160,22 +156,20 @@ func TestReplaySchedule(t *testing.T) {
 // committed-and-validated rule as increments.
 var regressionSchedules = []struct {
 	s     Schedule
-	sync  bool
 	dedup bool
 }{
-	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 70, Mode: storage.TearOrdered}, true, false},
-	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 70, Mode: storage.TearScramble}, true, false},
-	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 70, Mode: storage.TearScramble}, false, false},
-	{Schedule{TraceSeed: 8940310146990858404, CrashOp: 108, Mode: storage.TearScramble}, false, true},
-	{Schedule{TraceSeed: 8940310146990858404, CrashOp: 108, Mode: storage.TearOrdered}, false, true},
+	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 68, Mode: storage.TearOrdered}, false},
+	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 68, Mode: storage.TearScramble}, false},
+	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 70, Mode: storage.TearScramble}, false},
+	{Schedule{TraceSeed: 8940310146990858404, CrashOp: 108, Mode: storage.TearScramble}, true},
+	{Schedule{TraceSeed: 8940310146990858404, CrashOp: 108, Mode: storage.TearOrdered}, true},
 }
 
 func TestRegressionSchedules(t *testing.T) {
 	for _, rs := range regressionSchedules {
 		rs := rs
-		t.Run(fmt.Sprintf("%v sync=%v dedup=%v", rs.s, rs.sync, rs.dedup), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%v dedup=%v", rs.s, rs.dedup), func(t *testing.T) {
 			cfg := DefaultConfig(1)
-			cfg.Sync = rs.sync
 			cfg.Dedup = rs.dedup
 			if _, err := cfg.RunSchedule(rs.s, nil); err != nil {
 				t.Fatalf("pinned schedule regressed: %v", err)

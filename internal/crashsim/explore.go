@@ -13,7 +13,6 @@ import (
 // Replay() prints the exact invocation that reproduces it.
 type Failure struct {
 	Schedule Schedule
-	Sync     bool
 	Small    bool
 	Dedup    bool
 	Err      error
@@ -25,9 +24,6 @@ func (f Failure) Replay() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "go test ./internal/crashsim -run TestReplaySchedule -trace-seed=%d -crashpoint=%d -tear=%s",
 		f.Schedule.TraceSeed, f.Schedule.CrashOp, f.Schedule.Mode)
-	if f.Sync {
-		b.WriteString(" -synccommit")
-	}
 	if f.Small {
 		b.WriteString(" -smallpool")
 	}
@@ -77,7 +73,7 @@ func Explore(cfg Config) (ExploreStats, []Failure) {
 		recRes, err := cfg.RunSchedule(rec, nil)
 		stats.Schedules++
 		if err != nil {
-			failures = append(failures, Failure{Schedule: rec, Sync: cfg.Sync, Small: cfg.SmallPool, Dedup: cfg.Dedup, Err: err})
+			failures = append(failures, Failure{Schedule: rec, Small: cfg.SmallPool, Dedup: cfg.Dedup, Err: err})
 			stats.Failures++
 			logf("trace %d: record pass FAILED: %v", ti, err)
 			continue
@@ -90,7 +86,7 @@ func Explore(cfg Config) (ExploreStats, []Failure) {
 				s := Schedule{TraceSeed: traceSeed, CrashOp: k, Mode: mode}
 				if _, err := cfg.RunSchedule(s, recRes.OpHashes); err != nil {
 					if len(failures) < maxFailures {
-						failures = append(failures, Failure{Schedule: s, Sync: cfg.Sync, Small: cfg.SmallPool, Dedup: cfg.Dedup, Err: err})
+						failures = append(failures, Failure{Schedule: s, Small: cfg.SmallPool, Dedup: cfg.Dedup, Err: err})
 					}
 					stats.Failures++
 					logf("FAIL %v: %v", s, err)

@@ -122,7 +122,7 @@ func (c FailoverConfig) RunFailoverSchedule(s FailoverSchedule, wantHashes []uin
 	}
 	r := &runner{cfg: c.Config, sched: Schedule{TraceSeed: s.TraceSeed, CrashOp: s.CrashOp, Mode: s.Mode},
 		fd: fd, model: refmodel.New()}
-	r.db, err = core.New(fd, c.dbOptions(!c.Sync)...)
+	r.db, err = core.New(fd, c.dbOptions()...)
 	if err != nil {
 		return nil, fmt.Errorf("open primary: %w", err)
 	}
@@ -133,7 +133,7 @@ func (c FailoverConfig) RunFailoverSchedule(s FailoverSchedule, wantHashes []uin
 
 	// The replica runs on its own, never-faulted device: the failure under
 	// test is the primary's, and the promoted image must survive it.
-	rdb, err := core.New(storage.NewMemDevice(simPageSize, simDevPages, nil), c.dbOptions(true)...)
+	rdb, err := core.New(storage.NewMemDevice(simPageSize, simDevPages, nil), c.dbOptions()...)
 	if err != nil {
 		return nil, fmt.Errorf("open replica: %w", err)
 	}
@@ -259,7 +259,7 @@ func probeWrite(db *core.DB) error {
 		tx.Abort()
 		return err
 	}
-	if err := tx.CommitWait(); err != nil {
+	if err := tx.Commit(); err != nil {
 		return err
 	}
 	rtx := db.Begin(nil)

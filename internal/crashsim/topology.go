@@ -83,12 +83,11 @@ func (c TopoConfig) normalized() TopoConfig {
 	return c
 }
 
-func (c TopoConfig) dbOptions(async bool) []core.Option {
+func (c TopoConfig) dbOptions() []core.Option {
 	return []core.Option{
 		core.WithLogPages(simLogPages),
 		core.WithCkptPages(simCkptPages),
 		core.WithPoolPages(poolNormal),
-		core.WithAsyncCommit(async),
 		// Inline queue for deterministic op-hash replay; see Config.dbOptions.
 		core.WithInlineQueue(true),
 	}
@@ -195,7 +194,7 @@ func (c TopoConfig) RunTopoSchedule(s TopoSchedule, wantHashes [][]uint64) (*Top
 	}
 	dbs := make([]*core.DB, s.Shards)
 	for i := range dbs {
-		db, err := core.New(r.fds[i], c.dbOptions(true)...)
+		db, err := core.New(r.fds[i], c.dbOptions()...)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d open: %w", i, err)
 		}
@@ -266,7 +265,7 @@ func (c TopoConfig) RunTopoSchedule(s TopoSchedule, wantHashes [][]uint64) (*Top
 func (r *topoRunner) runRebalance() error {
 	s := r.sched
 	dst := s.dstID()
-	dstDB, err := core.New(r.fds[dst], r.cfg.dbOptions(true)...)
+	dstDB, err := core.New(r.fds[dst], r.cfg.dbOptions()...)
 	if err != nil {
 		// The destination died during initial format: nothing was ever
 		// copied, the sources still own every byte.
@@ -355,7 +354,7 @@ func (r *topoRunner) verify(record, rebalanced bool, ringBefore *shard.Ring) (*c
 	var report *core.RecoveryReport
 	if record {
 		for i, fd := range r.fds {
-			rep, snap, err := recoverAndCheck(fd.CrashImage(), r.cfg.dbOptions(false))
+			rep, snap, err := recoverAndCheck(fd.CrashImage(), r.cfg.dbOptions())
 			if err != nil {
 				return rep, fmt.Errorf("shard %d: %w", i, err)
 			}
@@ -369,7 +368,7 @@ func (r *topoRunner) verify(record, rebalanced bool, ringBefore *shard.Ring) (*c
 		// image is not a recoverable database and holds no blobs.
 		snaps[s.CrashShard] = map[string][]byte{}
 	} else {
-		rep, snap, err := recoverAndCheck(r.fds[s.CrashShard].CrashImage(), r.cfg.dbOptions(false))
+		rep, snap, err := recoverAndCheck(r.fds[s.CrashShard].CrashImage(), r.cfg.dbOptions())
 		if err != nil {
 			return rep, fmt.Errorf("crashed shard %d: %w", s.CrashShard, err)
 		}

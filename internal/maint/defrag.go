@@ -129,7 +129,7 @@ func (d *Defragmenter) RunOnce(ctx context.Context) (Report, error) {
 			d.skips.Add(1)
 			continue
 		}
-		if err := tx.CommitWait(); err != nil {
+		if err := tx.Commit(); err != nil {
 			d.errs.Add(1)
 			d.finishRound(&rep)
 			return rep, err

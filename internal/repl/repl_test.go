@@ -18,7 +18,6 @@ func newEngine(t *testing.T) *core.DB {
 		core.WithPoolPages(1<<12),
 		core.WithLogPages(1<<10),
 		core.WithCkptPages(1<<11),
-		core.WithAsyncCommit(true),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +49,7 @@ func putBlob(t *testing.T, db *core.DB, rel, key string, content []byte) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.CommitWait(); err != nil {
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -61,7 +60,7 @@ func putInline(t *testing.T, db *core.DB, rel, key string, value []byte) {
 	if err := tx.Put(rel, []byte(key), value); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.CommitWait(); err != nil {
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -140,7 +139,7 @@ func TestReplicateBasic(t *testing.T) {
 	if err := delTx.DeleteBlob("r", []byte("b")); err != nil {
 		t.Fatal(err)
 	}
-	if err := delTx.CommitWait(); err != nil {
+	if err := delTx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rep.Sync(ctx); err != nil {
@@ -402,7 +401,7 @@ func TestReplicaTailsConcurrentWriters(t *testing.T) {
 					errs <- err
 					return
 				}
-				if err := tx.CommitWait(); err != nil {
+				if err := tx.Commit(); err != nil {
 					errs <- err
 					return
 				}

@@ -208,7 +208,7 @@ func (r *Replica) resync(ctx context.Context) error {
 				tx.Abort()
 				return err
 			}
-			if err := tx.CommitWait(); err != nil {
+			if err := tx.Commit(); err != nil {
 				return err
 			}
 		}
@@ -229,7 +229,7 @@ func (r *Replica) installEntry(ctx context.Context, e Entry) error {
 			tx.Abort()
 			return err
 		}
-		return tx.CommitWait()
+		return tx.Commit()
 	}
 	if st, err := tx.BlobState(e.Rel, e.Key); err == nil && st.ETag() == e.ETag {
 		return tx.Commit() // already identical
@@ -267,7 +267,7 @@ func (r *Replica) installEntry(ctx context.Context, e Entry) error {
 		tx.Abort()
 		return fmt.Errorf("installed etag %s, fetcher claimed %s", got.ETag(), etag)
 	}
-	return tx.CommitWait()
+	return tx.Commit()
 }
 
 // fetcher adapts the source to core.BlobFetch.

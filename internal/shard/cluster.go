@@ -92,7 +92,7 @@ func (s *Shard) acquire(ctx context.Context) error {
 		s.shed.Add(1)
 		return ErrShardDown
 	}
-	// The engine's async committer poisons itself on a device failure;
+	// The engine's group committer poisons itself on a device failure;
 	// treat a poisoned pipeline as a crashed shard so its keyspace slice
 	// degrades to fast 503s instead of slow commit errors.
 	if err := s.DB().CommitterErr(); err != nil {

@@ -20,7 +20,6 @@ func newEngine(t *testing.T) *core.DB {
 		core.WithPoolPages(1<<12),
 		core.WithLogPages(1<<11),
 		core.WithCkptPages(1<<12),
-		core.WithAsyncCommit(true),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +71,7 @@ func clusterPutErr(c *Cluster, rel, key string, val []byte) error {
 		tx.Abort()
 		return err
 	}
-	return tx.CommitWait()
+	return tx.Commit()
 }
 
 // clusterGet reads one blob through the router.
@@ -100,7 +99,7 @@ func clusterDelete(c *Cluster, rel, key string) error {
 		tx.Abort()
 		return err
 	}
-	return tx.CommitWait()
+	return tx.Commit()
 }
 
 // TestRoutingSpreadsAndServes: every key written through the router is

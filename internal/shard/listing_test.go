@@ -92,7 +92,7 @@ func TestListingDedupsMidRebalanceDuplicates(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := tx.CommitWait(); err != nil {
+		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -275,7 +275,7 @@ func (c *Cluster) copyRow(ctx context.Context, src, dst *Shard, rel, key string)
 		dtx.Abort()
 		return fmt.Errorf("rebalance copy %q/%q: etag mismatch: src %s dst %s", rel, key, srcSt.ETag(), got)
 	}
-	if err := dtx.CommitWait(); err != nil {
+	if err := dtx.Commit(); err != nil {
 		return fmt.Errorf("shard %d: commit copy %q/%q: %w", dst.id, rel, key, err)
 	}
 	c.rebalanceBytes.Add(int64(srcSt.Size))
@@ -297,7 +297,7 @@ func copyInline(ctx context.Context, stx *core.Txn, dst *Shard, rel, key string,
 		dtx.Abort()
 		return fmt.Errorf("shard %d: put %q/%q: %w", dst.id, rel, key, err)
 	}
-	if err := dtx.CommitWait(); err != nil {
+	if err := dtx.Commit(); err != nil {
 		return fmt.Errorf("shard %d: commit inline %q/%q: %w", dst.id, rel, key, err)
 	}
 	bytesMoved.Add(int64(len(val)))
@@ -317,7 +317,7 @@ func deleteRow(ctx context.Context, s *Shard, rel, key string) error {
 		tx.Abort()
 		return fmt.Errorf("shard %d: delete %q/%q: %w", s.id, rel, key, err)
 	}
-	if err := tx.CommitWait(); err != nil {
+	if err := tx.Commit(); err != nil {
 		return fmt.Errorf("shard %d: commit delete %q/%q: %w", s.id, rel, key, err)
 	}
 	return nil

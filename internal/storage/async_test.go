@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"blobdb/internal/simtime"
 )
@@ -84,8 +85,9 @@ func TestAsyncReadsStaySynchronous(t *testing.T) {
 }
 
 func TestAsyncVecCostModel(t *testing.T) {
-	inner := NewMemDevice(DefaultPageSize, 256, simtime.DefaultNVMe())
-	d := NewAsyncWriteDevice(inner, simtime.DefaultNVMe())
+	cost := simtime.DefaultNVMe()
+	inner := NewMemDevice(DefaultPageSize, 256, cost)
+	d := NewAsyncWriteDevice(inner, cost)
 	segs := []Seg{
 		{PID: 0, N: 1, Buf: make([]byte, DefaultPageSize)},
 		{PID: 8, N: 1, Buf: make([]byte, DefaultPageSize)},
@@ -94,9 +96,11 @@ func TestAsyncVecCostModel(t *testing.T) {
 	if err := WriteVec(d, m, segs); err != nil {
 		t.Fatal(err)
 	}
-	// Async vec writes: no latency, so the cost must be under the
-	// synchronous fixed write latency alone.
-	if m.Elapsed() >= simtime.DefaultNVMe().WriteLatency {
-		t.Errorf("async vectored write charged %v", m.Elapsed())
+	// Async vec writes carry no latency and no random penalty: the charge
+	// is exactly the bandwidth share of the two pages under the device's
+	// own model.
+	want := time.Duration(float64(2*DefaultPageSize) / cost.WriteBW * 1e9)
+	if m.Elapsed() != want {
+		t.Errorf("async vectored write charged %v, want the bandwidth share %v", m.Elapsed(), want)
 	}
 }

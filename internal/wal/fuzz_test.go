@@ -28,7 +28,7 @@ func FuzzWALRecord(f *testing.F) {
 		if _, err := w.AppendLSN(nil, 7, RecBlobState, []byte("seed-payload")); err != nil {
 			f.Fatal(err)
 		}
-		if err := w.Commit(nil, 7); err != nil {
+		if err := commitSync(w, nil, 7); err != nil {
 			f.Fatal(err)
 		}
 		w.Close()

@@ -389,22 +389,10 @@ func (l *Writer) Flush(m *simtime.Meter) error {
 	return nil
 }
 
-// Commit appends a commit record, flushes the buffer, and waits for the
-// log to be durable (group commit: concurrent committers share one sync).
-func (l *Writer) Commit(m *simtime.Meter, txnID uint64) error {
-	if _, err := l.AppendLSN(m, txnID, RecCommit, nil); err != nil {
-		return err
-	}
-	if err := l.Flush(m); err != nil {
-		return err
-	}
-	return l.mgr.groupSync(m)
-}
-
 // CommitNoSync appends the commit record and flushes the buffer to the log
 // region without waiting for durability. The caller must make the log
 // durable with Manager.Sync before acknowledging the transaction — the
-// batched commit pipeline uses this so one sync covers a whole batch.
+// group committer uses this so one sync covers a whole batch.
 func (l *Writer) CommitNoSync(m *simtime.Meter, txnID uint64) error {
 	if _, err := l.AppendLSN(m, txnID, RecCommit, nil); err != nil {
 		return err

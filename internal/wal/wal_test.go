@@ -29,7 +29,7 @@ func TestAppendAndScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Commit(nil, 99); err != nil {
+	if err := commitSync(l, nil, 99); err != nil {
 		t.Fatal(err)
 	}
 
@@ -152,7 +152,7 @@ func TestAppendBlobDataSegments(t *testing.T) {
 	if err := l.AppendBlobData(nil, 1, blob); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(nil, 1); err != nil {
+	if err := commitSync(l, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	var rebuilt []byte
@@ -181,7 +181,7 @@ func TestCheckpointThreshold(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		l.AppendLSN(nil, 1, RecHeapPut, make([]byte, 2048))
 	}
-	l.Commit(nil, 1)
+	commitSync(l, nil, 1)
 	if w.Checkpoints() == 0 || ckptCalls == 0 {
 		t.Errorf("threshold checkpointing did not fire (ckpts=%d calls=%d)",
 			w.Checkpoints(), ckptCalls)
@@ -248,7 +248,7 @@ func TestPhyslogWritesMoreAndCheckpointsMore(t *testing.T) {
 					panic(err)
 				}
 			}
-			l.Commit(nil, uint64(i))
+			commitSync(l, nil, uint64(i))
 		}
 		return w.BytesLogged(), w.Checkpoints(), dev.Stats().BytesWritten()
 	}
@@ -296,7 +296,7 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := l.Commit(nil, txn); err != nil {
+				if err := commitSync(l, nil, txn); err != nil {
 					t.Error(err)
 					return
 				}
@@ -355,7 +355,7 @@ func TestMeterChargedOnCommit(t *testing.T) {
 	l := w.NewWriter()
 	m := simtime.NewMeter()
 	l.AppendLSN(m, 1, RecBlobState, make([]byte, 100))
-	if err := l.Commit(m, 1); err != nil {
+	if err := commitSync(l, m, 1); err != nil {
 		t.Fatal(err)
 	}
 	if m.Elapsed() == 0 {
@@ -442,7 +442,7 @@ func TestReadFromAndResync(t *testing.T) {
 		}
 		lsns = append(lsns, lsn)
 	}
-	if err := l.Commit(nil, 9); err != nil {
+	if err := commitSync(l, nil, 9); err != nil {
 		t.Fatal(err)
 	}
 	recs, durable, resync, err := w.ReadFrom(nil, lsns[1])
@@ -557,4 +557,13 @@ func TestSegmentCountBounded(t *testing.T) {
 	if n := len(w.Segments()); n != 0 {
 		t.Errorf("%d segments live immediately after checkpoint, want 0", n)
 	}
+}
+
+// commitSync commits txnID the way the group committer does: the commit
+// record is flushed with CommitNoSync, then Manager.Sync makes it durable.
+func commitSync(l *Writer, m *simtime.Meter, txnID uint64) error {
+	if err := l.CommitNoSync(m, txnID); err != nil {
+		return err
+	}
+	return l.mgr.Sync(m)
 }
