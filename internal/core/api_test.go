@@ -234,10 +234,10 @@ func TestEnqueueCancelledContext(t *testing.T) {
 	tx2.Commit()
 }
 
-// TestCommitCancelledContext: a Commit caller whose context dies
-// while the committer is busy stops waiting immediately; the commit itself
-// still completes in the background and the data is durable.
-func TestCommitCancelledContext(t *testing.T) {
+// TestCommitWaitCancelledContext: a CommitWait (Commit) caller whose
+// context dies while the committer is busy stops waiting immediately; the
+// commit itself still completes in the background and the data is durable.
+func TestCommitWaitCancelledContext(t *testing.T) {
 	o := testOpts()
 	db := openTest(t, o)
 	defer db.CloseCommitter()
@@ -256,18 +256,18 @@ func TestCommitCancelledContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- tx.Commit() }()
-	time.Sleep(20 * time.Millisecond) // let Commit enqueue and block
+	go func() { done <- tx.CommitWait() }()
+	time.Sleep(20 * time.Millisecond) // let CommitWait enqueue and block
 	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
 			db.ckptMu.Unlock()
-			t.Fatalf("Commit: got %v want context.Canceled", err)
+			t.Fatalf("CommitWait: got %v want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
 		db.ckptMu.Unlock()
-		t.Fatal("Commit did not return after cancellation")
+		t.Fatal("CommitWait did not return after cancellation")
 	}
 	db.ckptMu.Unlock()
 

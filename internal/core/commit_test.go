@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"blobdb/internal/storage"
 )
 
 func TestAsyncCommitRoundtrip(t *testing.T) {
@@ -158,34 +160,41 @@ func TestCommitterBusyAccounting(t *testing.T) {
 	}
 }
 
-func TestCommitDurabilityAck(t *testing.T) {
-	// Commit must not return until the committer has finished the txn:
-	// the Blob State's SHA-256 is computed on the committer, so it must be
-	// fully populated the instant Commit returns — no DrainCommits.
+func TestCommitWaitDurabilityAck(t *testing.T) {
+	// Commit, and CommitWait (its alias, which perfbench calls), must not
+	// return until the committer has finished the txn: the Blob State's
+	// SHA-256 is computed on the committer, so it must be fully populated
+	// the instant either returns — no DrainCommits.
 	db := openTest(t, testOpts())
 	defer db.CloseCommitter()
 	db.CreateRelation("r")
-	tx := db.Begin(nil)
-	if err := putBlob(tx, "r", []byte("k"), make([]byte, 200<<10)); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		commit func(*Txn) error
+	}{{"Commit", (*Txn).Commit}, {"CommitWait", (*Txn).CommitWait}} {
+		tx := db.Begin(nil)
+		if err := putBlob(tx, "r", []byte(c.name), make([]byte, 200<<10)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.commit(tx); err != nil {
+			t.Fatal(err)
+		}
+		tx2 := db.Begin(nil)
+		st, err := tx2.BlobState("r", []byte(c.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.SHA256 == [32]byte{} {
+			t.Errorf("%s returned before the committer finalized the Blob State hash", c.name)
+		}
+		tx2.Commit()
 	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	tx2 := db.Begin(nil)
-	st, err := tx2.BlobState("r", []byte("k"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SHA256 == [32]byte{} {
-		t.Error("Commit returned before the committer finalized the Blob State hash")
-	}
-	tx2.Commit()
 }
 
-func TestCommitConcurrentBatchStats(t *testing.T) {
-	// Concurrent Commit writers all get durability acks, and the
-	// pipeline accounts every one of them against shared WAL syncs.
+func TestCommitWaitConcurrentBatchStats(t *testing.T) {
+	// Concurrent CommitWait writers (perfbench's clients) all get
+	// durability acks, and the pipeline accounts every one of them against
+	// shared WAL syncs.
 	db := openTest(t, testOpts())
 	defer db.CloseCommitter()
 	db.CreateRelation("r")
@@ -202,7 +211,7 @@ func TestCommitConcurrentBatchStats(t *testing.T) {
 					errs[w] = err
 					return
 				}
-				if err := tx.Commit(); err != nil {
+				if err := tx.CommitWait(); err != nil {
 					errs[w] = err
 					return
 				}
@@ -221,6 +230,64 @@ func TestCommitConcurrentBatchStats(t *testing.T) {
 	}
 	if flushes == 0 || flushes > txns {
 		t.Errorf("implausible flush count %d for %d txns", flushes, txns)
+	}
+}
+
+func TestCommitWaitOnSyncDBAndReadOnlyTxn(t *testing.T) {
+	// Default options once selected the synchronous commit path, and
+	// WithAsyncCommit(true) the committer; both now open the same engine,
+	// so CommitWait acknowledges a write on either. A read-only CommitWait
+	// commits inline: no ack channel, no hang, no committer work.
+	for _, async := range []bool{false, true} {
+		db, err := New(storage.NewMemDevice(ps, 1<<15, nil), WithPoolPages(1<<12),
+			WithLogPages(1<<11), WithCkptPages(1<<11), WithAsyncCommit(async))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ro := db.Begin(nil)
+		if err := ro.CommitWait(); err != nil {
+			t.Errorf("read-only CommitWait: %v", err)
+		}
+		if db.CommitterBusy() != 0 {
+			t.Error("read-only CommitWait ran the committer")
+		}
+		db.CreateRelation("r")
+		tx := db.Begin(nil)
+		if err := putBlob(tx, "r", []byte("k"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.CommitWait(); err != nil {
+			t.Fatalf("WithAsyncCommit(%v): %v", async, err)
+		}
+		if _, txns := db.CommitBatchStats(); txns != 1 {
+			t.Errorf("WithAsyncCommit(%v): committer batched %d txns, want 1", async, txns)
+		}
+		if err := db.CloseCommitter(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestDrainCommitsOnSyncDB(t *testing.T) {
+	// A DB with default options runs no committer until something is
+	// queued: no busy time accrues on open, DrainCommits starts the
+	// pipeline for its marker and returns, and after a commit the pipeline
+	// goes idle again and DrainCommits still returns.
+	db := openTest(t, testOpts())
+	if db.CommitterBusy() != 0 {
+		t.Error("committer busy on a freshly opened DB")
+	}
+	if err := db.DrainCommits(); err != nil {
+		t.Errorf("DrainCommits before any write = %v", err)
+	}
+	db.CreateRelation("r")
+	tx := db.Begin(nil)
+	if err := putBlob(tx, "r", []byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+	if err := db.DrainCommits(); err != nil {
+		t.Errorf("DrainCommits after a commit = %v", err)
 	}
 }
 

@@ -51,13 +51,29 @@ func writeBlob(t *testing.T, tx *Txn, rel string, key, content []byte) {
 	}
 }
 
-// TestFailedAsyncCommitReleasesPins pins the commit-error unwind: a WAL
-// sync failure must not leave the transaction's staged frames pinned and
+// TestFailedCommitReleasesPins pins the commit-error unwind: a WAL sync
+// failure must not leave the transaction's staged frames pinned and
 // evict-protected, or the pool wedges for every later transaction. The
 // leak is invisible to the framerelease analyzer (the pins live in
 // Txn.pendings struct fields), so this test is its regression guard; the
 // distilled intraprocedural shape is pinned in the analyzer's testdata.
+func TestFailedCommitReleasesPins(t *testing.T) {
+	failedCommitReleasesPins(t, (*Txn).Commit)
+}
+
+// TestFailedAsyncCommitReleasesPins covers the same unwind when the
+// failure reaches the caller through CommitAsync's ack channel.
 func TestFailedAsyncCommitReleasesPins(t *testing.T) {
+	failedCommitReleasesPins(t, func(tx *Txn) error {
+		ack, err := tx.CommitAsync()
+		if err != nil {
+			return err
+		}
+		return <-ack
+	})
+}
+
+func failedCommitReleasesPins(t *testing.T, commit func(*Txn) error) {
 	dev := &syncFailDev{Device: storage.NewMemDevice(ps, 1<<15, nil)}
 	db, err := New(dev, WithPoolPages(1<<12), WithLogPages(1<<11), WithCkptPages(1<<11))
 	if err != nil {
@@ -81,8 +97,8 @@ func TestFailedAsyncCommitReleasesPins(t *testing.T) {
 	if err := tx.UpdateBlob("r", []byte("ok"), 0, []byte("PATCH"), blob.UpdateDelta); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Commit(); !errors.Is(err, errInjectedSync) {
-		t.Fatalf("Commit under failing sync: got %v, want injected failure", err)
+	if err := commit(tx); !errors.Is(err, errInjectedSync) {
+		t.Fatalf("commit under failing sync: got %v, want injected failure", err)
 	}
 	dev.armed.Store(false)
 

@@ -142,7 +142,9 @@ func TestReplaySchedule(t *testing.T) {
 // 71 and 117): with one slot the epoch-1 redo base tears (CRC fails),
 // recovery falls back to epoch 0, and the WAL scan — which requires an
 // exact epoch match — filters out every epoch-1 flush block. Recovery
-// came back empty: total loss of all committed blobs.
+// came back empty: total loss of all committed blobs. Op 70, between the
+// second and third image writes, where this trace first surfaced the
+// bug, stays pinned under both tear modes.
 // Unconditionally-replayed refcount decrement double-free: apply-time
 // ledger decrements were originally logged under txn id 0 and replayed
 // unconditionally. Crash point 108 of this dedup trace syncs a
@@ -160,6 +162,7 @@ var regressionSchedules = []struct {
 }{
 	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 68, Mode: storage.TearOrdered}, false},
 	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 68, Mode: storage.TearScramble}, false},
+	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 70, Mode: storage.TearOrdered}, false},
 	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 70, Mode: storage.TearScramble}, false},
 	{Schedule{TraceSeed: 8940310146990858404, CrashOp: 108, Mode: storage.TearScramble}, true},
 	{Schedule{TraceSeed: 8940310146990858404, CrashOp: 108, Mode: storage.TearOrdered}, true},
