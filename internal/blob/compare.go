@@ -44,19 +44,22 @@ func (s *contentStream) next() ([]byte, error) {
 			return nil, nil
 		}
 		if s.frame == nil {
-			tiers := s.m.Alloc.Tiers()
-			var err error
+			var sp buffer.ExtentSpec
 			switch {
 			case s.idx < len(s.st.Extents):
-				s.frame, err = s.m.Pool.FixExtent(s.mt, s.st.Extents[s.idx], int(tiers.Size(s.idx)))
+				sp = buffer.ExtentSpec{PID: s.st.Extents[s.idx], NPages: int(s.m.Alloc.Tiers().Size(s.idx))}
 			case s.st.HasTail() && s.idx == len(s.st.Extents):
-				s.frame, err = s.m.Pool.FixExtent(s.mt, s.st.Tail.PID, int(s.st.Tail.Pages))
+				sp = buffer.ExtentSpec{PID: s.st.Tail.PID, NPages: int(s.st.Tail.Pages)}
 			default:
 				return nil, fmt.Errorf("blob: stream ran out of extents with %d bytes left", s.remaining)
 			}
+			// Fix only the pages the remaining content covers.
+			sp.Used = usedPages(s.m.contentPages(s.remaining), uint64(sp.NPages))
+			frames, err := s.m.Pool.FixExtents(s.mt, []buffer.ExtentSpec{sp})
 			if err != nil {
 				return nil, err
 			}
+			s.frame = frames[0]
 			s.spans = s.frame.Spans()
 			s.spanIdx = 0
 		}

@@ -145,17 +145,42 @@ func (h *ReadHandle) Close(mt *simtime.Meter) {
 }
 
 // fixSpecs lists every extent of the BLOB (tiered extents plus tail) as a
-// batch-fix spec, in BLOB order.
+// batch-fix spec, in BLOB order. Each spec asks only for the pages that
+// st.Size covers, so the last extent of a growing BLOB is fixed as a
+// prefix and its unused pages are neither read nor held in the pool.
 func (m *Manager) fixSpecs(st *State) []buffer.ExtentSpec {
 	tiers := m.Alloc.Tiers()
 	specs := make([]buffer.ExtentSpec, 0, len(st.Extents)+1)
+	left := m.contentPages(st.Size)
+	add := func(pid storage.PID, npages uint64) {
+		specs = append(specs, buffer.ExtentSpec{PID: pid, NPages: int(npages), Used: usedPages(left, npages)})
+		left -= min(left, npages)
+	}
 	for i, pid := range st.Extents {
-		specs = append(specs, buffer.ExtentSpec{PID: pid, NPages: int(tiers.Size(i))})
+		add(pid, tiers.Size(i))
 	}
 	if st.HasTail() {
-		specs = append(specs, buffer.ExtentSpec{PID: st.Tail.PID, NPages: int(st.Tail.Pages)})
+		add(st.Tail.PID, st.Tail.Pages)
 	}
 	return specs
+}
+
+// contentPages returns the number of pages that size bytes of content
+// cover.
+func (m *Manager) contentPages(size uint64) uint64 {
+	ps := uint64(m.Pool.PageSize())
+	return (size + ps - 1) / ps
+}
+
+// usedPages returns the ExtentSpec.Used of an npages extent when left
+// content pages remain from its start: 0 (the whole extent) when the
+// content fills it, else that prefix — at least one page, since Used 0
+// would mean the whole extent.
+func usedPages(left, npages uint64) int {
+	if left >= npages {
+		return 0
+	}
+	return int(max(left, 1))
 }
 
 // Read fixes all of the BLOB's extents with one batched pool call — every

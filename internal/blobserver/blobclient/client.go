@@ -348,7 +348,7 @@ func (c *Client) Get(ctx context.Context, rel, key string) ([]byte, string, erro
 		return nil, "", err
 	}
 	defer resp.Body.Close()
-	content, err := io.ReadAll(resp.Body)
+	content, err := readBody(resp)
 	return content, strings.Trim(resp.Header.Get("ETag"), `"`), err
 }
 
@@ -360,7 +360,7 @@ func (c *Client) GetRange(ctx context.Context, rel, key string, off, n int64) ([
 		return nil, err
 	}
 	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	return readBody(resp)
 }
 
 // GetIfNoneMatch conditionally reads the blob: notModified is true (and
@@ -374,8 +374,43 @@ func (c *Client) GetIfNoneMatch(ctx context.Context, rel, key, etag string) (con
 	if resp.StatusCode == http.StatusNotModified {
 		return nil, true, nil
 	}
-	content, err = io.ReadAll(resp.Body)
+	content, err = readBody(resp)
 	return content, false, err
+}
+
+// maxPrealloc caps the buffer readBody allocates before any body byte has
+// arrived. A larger declared Content-Length is still read, but the buffer
+// then grows only as bytes arrive, so a length the body never delivers
+// costs at most this much memory.
+const maxPrealloc = 8 << 20
+
+// readBody reads a response body whole. With a declared Content-Length it
+// reads into one buffer of exactly that size — no regrowth, no copy, for
+// bodies up to maxPrealloc — and a body shorter than declared is an
+// io.ErrUnexpectedEOF. Without one (a chunked response) it falls back to
+// io.ReadAll's growing reads.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 {
+		return io.ReadAll(resp.Body)
+	}
+	buf := make([]byte, min(n, maxPrealloc))
+	got := 0
+	for {
+		if _, err := io.ReadFull(resp.Body, buf[got:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		got = len(buf)
+		if int64(got) == n {
+			return buf, nil
+		}
+		// Declared past the first buffer: double it, never beyond the
+		// declared length, and read on into the new half.
+		buf = append(buf, make([]byte, min(n, 2*int64(got))-int64(got))...)
+	}
 }
 
 // Delete removes rel/key.

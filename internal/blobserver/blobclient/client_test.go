@@ -1,10 +1,17 @@
 package blobclient
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -252,5 +259,157 @@ func TestWithTimeout(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatalf("timeout not enforced (%v)", time.Since(start))
+	}
+}
+
+// lengthRecorder records the Content-Length of every response the client
+// receives (-1 when the body length is unknown).
+type lengthRecorder struct {
+	rt      http.RoundTripper
+	lengths []int64
+}
+
+func (l *lengthRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := l.rt.RoundTrip(req)
+	if err == nil {
+		l.lengths = append(l.lengths, resp.ContentLength)
+	}
+	return resp, err
+}
+
+// TestGetChunkedBody: a response without Content-Length (chunked) is read
+// whole through the growing fallback.
+func TestGetChunkedBody(t *testing.T) {
+	content := bytes.Repeat([]byte("0123456789abcdef"), 16<<10) // 256 KiB
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		for part := content; len(part) > 0; part = part[64<<10:] {
+			w.Write(part[:64<<10])
+			w.(http.Flusher).Flush() // no declared length: chunked
+		}
+	}))
+	defer ts.Close()
+	rec := &lengthRecorder{rt: ts.Client().Transport}
+	c := New(ts.URL, WithHTTPClient(&http.Client{Transport: rec}))
+	got, _, err := c.Get(context.Background(), "r", "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, content) {
+		t.Fatalf("chunked GET returned %d bytes, want the %d sent", len(got), len(content))
+	}
+	got, notModified, err := c.GetIfNoneMatch(context.Background(), "r", "k", "stale")
+	if err != nil || notModified || !bytes.Equal(got, content) {
+		t.Fatalf("chunked conditional GET: notModified=%v err=%v, %d bytes", notModified, err, len(got))
+	}
+	if !reflect.DeepEqual(rec.lengths, []int64{-1, -1}) {
+		t.Fatalf("response lengths %v, want both unknown (chunked)", rec.lengths)
+	}
+}
+
+// rawServer answers every request with a hand-written response head that
+// declares length bytes of body, then sends body and closes the
+// connection — a server that breaks off mid-body.
+func rawServer(t *testing.T, status string, length int64, body []byte) *httptest.Server {
+	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, buf, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		fmt.Fprintf(buf, "HTTP/1.1 %s\r\nContent-Length: %d\r\n\r\n", status, length)
+		buf.Write(body)
+		buf.Flush()
+	}))
+}
+
+// TestGetShortBodyFails: a body that ends before its declared length is an
+// io.ErrUnexpectedEOF, never a zero-padded buffer.
+func TestGetShortBodyFails(t *testing.T) {
+	body := bytes.Repeat([]byte{0xAB}, 1000)
+	for _, tc := range []struct {
+		status string
+		get    func(c *Client) ([]byte, error)
+	}{
+		{"200 OK", func(c *Client) ([]byte, error) {
+			b, _, err := c.Get(context.Background(), "r", "k")
+			return b, err
+		}},
+		{"206 Partial Content", func(c *Client) ([]byte, error) {
+			return c.GetRange(context.Background(), "r", "k", 0, 4096)
+		}},
+		{"200 OK", func(c *Client) ([]byte, error) {
+			b, _, err := c.GetIfNoneMatch(context.Background(), "r", "k", "stale")
+			return b, err
+		}},
+	} {
+		ts := rawServer(t, tc.status, 4096, body)
+		got, err := tc.get(New(ts.URL, WithHTTPClient(ts.Client())))
+		ts.Close()
+		if !errors.Is(err, io.ErrUnexpectedEOF) || got != nil {
+			t.Errorf("%s with 1000 of 4096 declared bytes: %d bytes, err %v; want nil and io.ErrUnexpectedEOF",
+				tc.status, len(got), err)
+		}
+	}
+}
+
+// TestGetHugeDeclaredLengthBoundedAlloc: a declared length far beyond the
+// body (1 TiB from a broken or hostile server) fails without allocating
+// anything like it: the client allocates at most maxPrealloc up front.
+func TestGetHugeDeclaredLengthBoundedAlloc(t *testing.T) {
+	ts := rawServer(t, "200 OK", 1<<40, make([]byte, 4096))
+	defer ts.Close()
+	c := New(ts.URL, WithHTTPClient(ts.Client()))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, _, err := c.Get(context.Background(), "r", "k")
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) || got != nil {
+		t.Fatalf("1 TiB declared, 4 KiB sent: %d bytes, err %v; want nil and io.ErrUnexpectedEOF", len(got), err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > maxPrealloc+1<<20 {
+		t.Errorf("failed GET allocated %d MiB, want at most the %d MiB prealloc cap plus 1 MiB",
+			alloc>>20, maxPrealloc>>20)
+	}
+}
+
+// TestGetLengthPastPreallocCap: a declared body larger than the up-front
+// cap still reads whole, growing as the bytes arrive.
+func TestGetLengthPastPreallocCap(t *testing.T) {
+	content := make([]byte, maxPrealloc*5/2)
+	rand.New(rand.NewSource(1)).Read(content)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(content)))
+		w.Write(content)
+	}))
+	defer ts.Close()
+	got, _, err := New(ts.URL, WithHTTPClient(ts.Client())).Get(context.Background(), "r", "k")
+	if err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("GET of %d bytes: err %v, %d bytes back", len(content), err, len(got))
+	}
+}
+
+// BenchmarkClientGet measures a sized GET (Content-Length declared) end to
+// end over loopback; allocs/op and B/op show the client's body buffer.
+func BenchmarkClientGet(b *testing.B) {
+	for _, size := range []int{4 << 10, 256 << 10} {
+		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
+			content := make([]byte, size)
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Length", strconv.Itoa(size))
+				w.Write(content)
+			}))
+			defer ts.Close()
+			c := New(ts.URL, WithHTTPClient(ts.Client()))
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.SetBytes(int64(size))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := c.Get(ctx, "r", "k"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

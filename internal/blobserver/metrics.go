@@ -131,8 +131,9 @@ func commitVars(db *core.DB) map[string]any {
 // poolVars renders one engine's batched read-path counters (§III-D): one
 // vectored submission per cold BLOB read. read_vec_segments /
 // fix_batch_pages size the batches, singleflight_coalesces counts readers
-// that piggybacked on another worker's in-flight load, lock_wait_ns is
-// cumulative wait for the pool's structural mutex.
+// that piggybacked on another worker's in-flight load, prefix_upgrades
+// counts prefix entries dropped for a fix that needed the whole extent,
+// lock_wait_ns is cumulative wait for the pool's structural mutex.
 func poolVars(db *core.DB) map[string]any {
 	s := db.Pool().Stats().Snapshot()
 	a := db.AliasManager().Stats()
@@ -146,6 +147,7 @@ func poolVars(db *core.DB) map[string]any {
 		"fix_batch_pages":        s.FixBatchPages,
 		"read_vec_segments":      s.ReadVecSegments,
 		"singleflight_coalesces": s.Coalesces,
+		"prefix_upgrades":        s.Upgrades,
 		"lock_wait_ns":           s.LockWaitNs,
 		// Aliasing areas (§IV-B): worker-local vs shared-bitmap vs direct
 		// single-extent views, plus the costs (CAS retries, shootdowns).

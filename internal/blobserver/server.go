@@ -319,6 +319,10 @@ func (s *Server) handleGetBlob(w http.ResponseWriter, r *http.Request) {
 			httpError(w, gerr)
 			return
 		}
+		// A declared length lets clients read the body into one buffer;
+		// without it a value over net/http's 2 KiB pre-chunking buffer goes out
+		// chunked.
+		w.Header().Set("Content-Length", strconv.Itoa(len(v)))
 		w.Write(v)
 		return
 	}

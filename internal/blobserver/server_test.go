@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -196,6 +197,92 @@ func TestRangedReadByteAccounting(t *testing.T) {
 		t.Errorf("%d ranged reads allocated %d bytes (>= one 10 MB blob); read path is materializing", reads, delta)
 	} else {
 		t.Logf("%d ranged 64 KB reads allocated %d bytes total (blob is %d)", reads, delta, len(content))
+	}
+}
+
+// TestGetAllocBudget is the per-request byte budget of a full GET: a
+// pool-resident 256 KiB blob served by blobserver and read by blobclient
+// allocates, server and client together, at most 1.25x the body plus
+// 16 KiB per request. The body buffer itself is one body; a client that
+// grows its buffer while reading (io.ReadAll) allocates several.
+func TestGetAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation inflates TotalAlloc; byte accounting is only meaningful without -race")
+	}
+	_, _, _, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	if err := c.CreateRelation(ctx, "img"); err != nil {
+		t.Fatal(err)
+	}
+	const size = 256 << 10
+	content := make([]byte, size)
+	rand.New(rand.NewSource(9)).Read(content)
+	if _, err := c.Put(ctx, "img", "k", content); err != nil {
+		t.Fatal(err)
+	}
+	// Warm the connection and the pool: every measured GET is a pool hit.
+	if got, _, err := c.Get(ctx, "img", "k"); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("warm-up GET: %v", err)
+	}
+
+	const gets = 16
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < gets; i++ {
+		got, _, err := c.Get(ctx, "img", "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != size {
+			t.Fatalf("GET %d returned %d bytes", i, len(got))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perGet := int64(after.TotalAlloc-before.TotalAlloc) / gets
+	if budget := int64(size)*5/4 + 16<<10; perGet > budget {
+		t.Errorf("a %d KiB GET allocated %d KiB (%.2fx the body), budget %d KiB",
+			size>>10, perGet>>10, float64(perGet)/size, budget>>10)
+	} else {
+		t.Logf("a %d KiB GET allocated %d KiB (%.2fx the body)", size>>10, perGet>>10, float64(perGet)/size)
+	}
+}
+
+// TestInlineGetCarriesContentLength: a GET of an inline column value
+// declares its length, also past the 2 KiB net/http buffers before it
+// would switch to chunked encoding, so clients can size their read.
+func TestInlineGetCarriesContentLength(t *testing.T) {
+	db, _, ts, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	if err := c.CreateRelation(ctx, "meta"); err != nil {
+		t.Fatal(err)
+	}
+	value := bytes.Repeat([]byte("inline-"), 500) // 3500 bytes
+	tx := db.Begin(nil)
+	if err := tx.Put("meta", []byte("k"), value); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/v1/meta/k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, value) {
+		t.Fatalf("inline GET: status %d, %d bytes", resp.StatusCode, len(body))
+	}
+	if resp.ContentLength != int64(len(value)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("inline GET: Content-Length %d, Transfer-Encoding %q; want %d and none",
+			resp.ContentLength, resp.TransferEncoding, len(value))
+	}
+	if got, _, err := c.Get(ctx, "meta", "k"); err != nil || !bytes.Equal(got, value) {
+		t.Errorf("client GET of the inline value: %v", err)
 	}
 }
 

@@ -151,6 +151,84 @@ func TestPoolIOPattern(t *testing.T) {
 			},
 		},
 		{
+			// A prefix fix loads only its pages, so the loaded prefix of
+			// extent 10 is not device-adjacent to extent 14.
+			name: "fix-batch-prefix-2-of-4",
+			run: func(t *testing.T, p Pool) {
+				fs, err := p.FixExtents(nil, []ExtentSpec{{PID: 10, NPages: 4, Used: 2}, {PID: 14, NPages: 2}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fs[0].NPages != 2 {
+					t.Errorf("prefix frame holds %d pages, want 2", fs[0].NPages)
+				}
+				release(fs...)
+			},
+			want: map[string]ioExpect{
+				"vmcache/direct": {
+					calls: []string{"VR[10+2 14+2]"},
+					dev:   storage.StatsSnapshot{ReadOps: 2, BytesRead: 4 * ps, VecReads: 1, VecReadSegs: 2},
+					pool:  StatsSnapshot{Misses: 2, FixBatches: 1, FixBatchPages: 4, ReadVecSegments: 2},
+				},
+				"vmcache/queue": {
+					calls: []string{"VR[10+2 14+2]"},
+					dev:   storage.StatsSnapshot{ReadOps: 2, BytesRead: 4 * ps, VecReads: 1, VecReadSegs: 2},
+					pool:  StatsSnapshot{Misses: 2, FixBatches: 1, FixBatchPages: 4, ReadVecSegments: 2},
+				},
+				"ht/direct": {
+					calls: []string{"VR[10+1 11+1 14+1 15+1]"},
+					dev:   storage.StatsSnapshot{ReadOps: 4, BytesRead: 4 * ps, VecReads: 1, VecReadSegs: 4},
+					pool:  StatsSnapshot{Misses: 2, FixBatches: 1, FixBatchPages: 4, ReadVecSegments: 4},
+				},
+				"ht/queue": {
+					calls: []string{"VR[10+1 11+1 14+1 15+1]"},
+					dev:   storage.StatsSnapshot{ReadOps: 4, BytesRead: 4 * ps, VecReads: 1, VecReadSegs: 4},
+					pool:  StatsSnapshot{Misses: 2, FixBatches: 1, FixBatchPages: 4, ReadVecSegments: 4},
+				},
+			},
+		},
+		{
+			// A full fix of an extent resident as a prefix drops the
+			// prefix and loads the whole extent once.
+			name: "fix-full-upgrades-prefix",
+			setup: func(t *testing.T, p Pool) {
+				fs, err := p.FixExtents(nil, []ExtentSpec{{PID: 10, NPages: 4, Used: 2}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				release(fs...)
+			},
+			run: func(t *testing.T, p Pool) {
+				f, err := p.FixExtent(nil, 10, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				release(f)
+			},
+			want: map[string]ioExpect{
+				"vmcache/direct": {
+					calls: []string{"R10+4"},
+					dev:   storage.StatsSnapshot{ReadOps: 1, BytesRead: 4 * ps},
+					pool:  StatsSnapshot{Misses: 1, Upgrades: 1},
+				},
+				"vmcache/queue": {
+					calls: []string{"R10+4"},
+					dev:   storage.StatsSnapshot{ReadOps: 1, BytesRead: 4 * ps},
+					pool:  StatsSnapshot{Misses: 1, Upgrades: 1},
+				},
+				"ht/direct": {
+					calls: []string{"R10+1", "R11+1", "R12+1", "R13+1"},
+					dev:   storage.StatsSnapshot{ReadOps: 4, BytesRead: 4 * ps},
+					pool:  StatsSnapshot{Misses: 1, Upgrades: 1},
+				},
+				"ht/queue": {
+					calls: []string{"R10+1", "R11+1", "R12+1", "R13+1"},
+					dev:   storage.StatsSnapshot{ReadOps: 4, BytesRead: 4 * ps},
+					pool:  StatsSnapshot{Misses: 1, Upgrades: 1},
+				},
+			},
+		},
+		{
 			name: "create-partial-write-flush",
 			run: func(t *testing.T, p Pool) {
 				f, err := p.CreateExtent(nil, 20, 4)
@@ -280,6 +358,7 @@ func TestPoolIOPattern(t *testing.T) {
 						FixBatchPages:   after.FixBatchPages - before.FixBatchPages,
 						ReadVecSegments: after.ReadVecSegments - before.ReadVecSegments,
 						Coalesces:       after.Coalesces - before.Coalesces,
+						Upgrades:        after.Upgrades - before.Upgrades,
 					}
 					if got != want.pool {
 						t.Errorf("pool stats = %+v, want %+v", got, want.pool)

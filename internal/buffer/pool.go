@@ -34,7 +34,9 @@ var ErrPoolFull = errors.New("buffer: pool full (all extents pinned or evict-pro
 // Frame is a pinned, resident extent. Release it exactly once.
 type Frame struct {
 	HeadPID storage.PID
-	NPages  int
+	// NPages is the number of resident pages: the extent's page count, or
+	// for a prefix fix (ExtentSpec.Used) at least the pages it asked for.
+	NPages int
 
 	data  []byte   // contiguous frame memory (slab layout), else nil
 	pages [][]byte // page-granular frames (page layout), else nil
@@ -117,8 +119,9 @@ func (f *Frame) Release() { f.pool.release(f) }
 // and concurrent fixers wait on the loaded channel — only one worker issues
 // the device read (§III-G).
 type entry struct {
-	headPID storage.PID
-	npages  int
+	headPID  storage.PID
+	npages   int // pages placed and loaded: the whole extent or a prefix of it
+	extPages int // the extent's page count; npages < extPages marks a prefix entry
 
 	frameOff int   // slab layout: frame offset of the extent in the slab
 	pages    []int // page layout: frame index per extent page
@@ -172,6 +175,11 @@ func (e *entry) isLoaded() bool {
 }
 
 func (e *entry) markDirty(fromPage, toPage int) {
+	if e.npages != e.extPages {
+		// Writers fix the whole extent, so a prefix entry is never dirty
+		// and an upgrade can drop it without write-back.
+		panic("buffer: write to a prefix entry")
+	}
 	if fromPage < 0 {
 		fromPage = 0
 	}
@@ -223,6 +231,7 @@ type Stats struct {
 	ReadVecSegments atomic.Int64 // segments across all batch submissions
 	Coalesces       atomic.Int64 // fixes that piggybacked on another worker's in-flight load
 	LockWaitNs      atomic.Int64 // cumulative wait for the structural pool mutex
+	Upgrades        atomic.Int64 // prefix entries dropped for a fix that needed more pages
 }
 
 // StatsSnapshot is a point-in-time copy of pool counters.
@@ -234,6 +243,7 @@ type StatsSnapshot struct {
 	ReadVecSegments int64
 	Coalesces       int64
 	LockWaitNs      int64
+	Upgrades        int64
 }
 
 // Snapshot returns current counter values.
@@ -248,13 +258,18 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		ReadVecSegments: s.ReadVecSegments.Load(),
 		Coalesces:       s.Coalesces.Load(),
 		LockWaitNs:      s.LockWaitNs.Load(),
+		Upgrades:        s.Upgrades.Load(),
 	}
 }
 
 // ExtentSpec names one extent of a BLOB for a batched fix.
 type ExtentSpec struct {
 	PID    storage.PID
-	NPages int
+	NPages int // the extent's page count
+	// Used is the number of leading pages the caller reads; 0 means all
+	// NPages. A miss places and loads only those pages (a prefix entry);
+	// a resident entry holding at least Used pages is a hit.
+	Used int
 }
 
 // Pool is the buffer-manager interface the blob layer programs against.
@@ -262,11 +277,15 @@ type Pool interface {
 	// PageSize returns the page size in bytes.
 	PageSize() int
 	// FixExtent pins the extent [pid, pid+npages) in memory, reading it
-	// from the device if absent, and returns its frame.
+	// from the device if absent, and returns its frame. A resident prefix
+	// entry of the extent is upgraded: the fix waits until nothing pins
+	// the prefix, drops it, and loads the whole extent.
 	FixExtent(m *simtime.Meter, pid storage.PID, npages int) (*Frame, error)
 	// FixExtents pins all listed extents, classifying them as hit,
 	// in-flight, or miss in one pass and loading every miss with a single
-	// vectored device submission (§III-D: one I/O per BLOB read). On error
+	// vectored device submission (§III-D: one I/O per BLOB read). A spec
+	// with Used set loads only that prefix of its extent; a batch must not
+	// list one extent twice with a larger Used the second time. On error
 	// no frame stays pinned. Frames are returned in spec order.
 	FixExtents(m *simtime.Meter, specs []ExtentSpec) ([]*Frame, error)
 	// CreateExtent pins a newly allocated extent without reading the

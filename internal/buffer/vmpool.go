@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -120,7 +121,7 @@ func (p *VMPool) frame(e *entry) *Frame {
 
 // FixExtent implements Pool.
 func (p *VMPool) FixExtent(m *simtime.Meter, pid storage.PID, npages int) (*Frame, error) {
-	e, fresh, err := p.admit(m, pid, npages)
+	e, fresh, err := p.admit(m, pid, npages, npages, true)
 	if err != nil {
 		return nil, err
 	}
@@ -171,9 +172,25 @@ func (p *VMPool) FixExtents(m *simtime.Meter, specs []ExtentSpec) ([]*Frame, err
 	}
 
 	// Pass 1: classify. admit never blocks on loaded, so duplicate specs
-	// and contended extents cannot deadlock the batch.
+	// and contended extents cannot deadlock the batch — unless a duplicate
+	// asks for more pages than an earlier spec of the same extent, whose
+	// upgrade would wait on this batch's own pin.
 	for _, sp := range specs {
-		e, fresh, err := p.admit(m, sp.PID, sp.NPages)
+		used := sp.Used
+		if used == 0 {
+			used = sp.NPages
+		}
+		e, fresh, err := p.admit(m, sp.PID, sp.NPages, used, len(loads) == 0)
+		if err == errPrefixPinned {
+			// Publish the loads this batch has claimed before waiting on
+			// other workers' pins: a pin holder may be awaiting one of
+			// them.
+			err = p.loadMisses(m, loads)
+			loads = nil
+			if err == nil {
+				e, fresh, err = p.admit(m, sp.PID, sp.NPages, used, true)
+			}
+		}
 		if err != nil {
 			// Entries we already claimed for loading still have waiters
 			// parked on their channels; finish those loads regardless. A
@@ -240,7 +257,7 @@ func (p *VMPool) loadMisses(m *simtime.Meter, loads []*entry) error {
 
 // CreateExtent implements Pool.
 func (p *VMPool) CreateExtent(m *simtime.Meter, pid storage.PID, npages int) (*Frame, error) {
-	e, fresh, err := p.admit(m, pid, npages)
+	e, fresh, err := p.admit(m, pid, npages, npages, true)
 	if err != nil {
 		return nil, err
 	}
@@ -258,10 +275,21 @@ func (p *VMPool) CreateExtent(m *simtime.Meter, pid storage.PID, npages int) (*F
 	return p.frame(e), nil
 }
 
-// admit pins the extent's entry, creating it (fresh=true) when absent. It
-// never blocks on the loaded channel, so batched callers can classify every
-// extent before any device read.
-func (p *VMPool) admit(m *simtime.Meter, pid storage.PID, npages int) (*entry, bool, error) {
+// errPrefixPinned is admit's answer, when told not to wait, for a fix
+// that must upgrade a prefix entry other workers still pin.
+var errPrefixPinned = errors.New("buffer: prefix entry pinned")
+
+// admit pins an entry of the npages-page extent at pid holding at least
+// its first used pages, creating it (fresh=true) when absent. A miss
+// places only those used pages: a prefix entry. A resident prefix shorter
+// than used is upgraded: admit waits for its pins to drain — or, unless
+// wait is set, returns errPrefixPinned — then drops it and admits again.
+// It never blocks on the loaded channel, so batched callers can classify
+// every extent before any device read.
+func (p *VMPool) admit(m *simtime.Meter, pid storage.PID, npages, used int, wait bool) (*entry, bool, error) {
+	if used < 0 || used > npages {
+		return nil, false, fmt.Errorf("buffer: fix of %d pages of %d-page extent %d", used, npages, pid)
+	}
 	sh := p.resident.shard(pid)
 	for {
 		// Hot path: shard-local hit, no structural lock.
@@ -269,9 +297,29 @@ func (p *VMPool) admit(m *simtime.Meter, pid storage.PID, npages int) (*entry, b
 		e := sh.m[pid]
 		sh.RUnlock()
 		if e != nil {
-			if e.npages != npages {
+			if e.extPages != npages {
 				return nil, false, fmt.Errorf("buffer: extent %d resident with %d pages, fixed with %d",
-					pid, e.npages, npages)
+					pid, e.extPages, npages)
+			}
+			if e.npages < used {
+				// A prefix entry, and a fix that needs more of the extent:
+				// once no one pins the prefix, drop it (a prefix is never
+				// dirty, so nothing is written back) and admit again as a
+				// miss.
+				if e.claimEvict() {
+					p.mu.Lock()
+					if e.dirty() {
+						panic("buffer: dirty prefix entry")
+					}
+					p.removeLocked(e)
+					p.stats.Upgrades.Add(1)
+					p.mu.Unlock()
+				} else if !wait {
+					return nil, false, errPrefixPinned
+				} else {
+					runtime.Gosched()
+				}
+				continue
 			}
 			if e.tryPin() {
 				p.stats.Hits.Add(1)
@@ -290,13 +338,13 @@ func (p *VMPool) admit(m *simtime.Meter, pid storage.PID, npages int) (*entry, b
 		p.mu.Lock()
 		//blobvet:allow real lock-wait metering for LockWaitNs stats; never replayed
 		p.stats.LockWaitNs.Add(time.Since(t0).Nanoseconds())
-		e, err := p.placeLocked(m, sh, pid, npages)
+		e, err := p.placeLocked(m, sh, pid, npages, used)
 		if e == nil {
 			p.mu.Unlock()
 			if err != nil {
 				return nil, false, err
 			}
-			continue // admitted by another worker meanwhile: retry as a hit
+			continue // admitted by another worker meanwhile: retry
 		}
 		e.pins.Store(1)
 		sh.Lock()
@@ -304,9 +352,9 @@ func (p *VMPool) admit(m *simtime.Meter, pid storage.PID, npages int) (*entry, b
 		sh.Unlock()
 		p.orderIdx[pid] = len(p.order)
 		p.order = append(p.order, pid)
-		p.residentPg += npages
-		if npages > p.maxExtSize {
-			p.maxExtSize = npages
+		p.residentPg += used
+		if used > p.maxExtSize {
+			p.maxExtSize = used
 		}
 		p.stats.Misses.Add(1)
 		p.mu.Unlock()
@@ -318,12 +366,12 @@ func (p *VMPool) admit(m *simtime.Meter, pid storage.PID, npages int) (*entry, b
 // from the layout, evicting random extents until the resident budget and
 // the layout both have room. Evictions may drop and re-acquire p.mu, so it
 // returns (nil, nil) when another worker admitted pid meanwhile.
-func (p *VMPool) placeLocked(m *simtime.Meter, sh *poolShard, pid storage.PID, npages int) (*entry, error) {
-	if npages > p.numPages {
+func (p *VMPool) placeLocked(m *simtime.Meter, sh *poolShard, pid storage.PID, npages, used int) (*entry, error) {
+	if used > p.numPages {
 		return nil, fmt.Errorf("buffer: extent of %d pages exceeds pool of %d: %w",
-			npages, p.numPages, ErrPoolFull)
+			used, p.numPages, ErrPoolFull)
 	}
-	e := &entry{headPID: pid, npages: npages, loaded: make(chan struct{})}
+	e := &entry{headPID: pid, npages: used, extPages: npages, loaded: make(chan struct{})}
 	limit := 64 + 16*len(p.order)
 	for attempts := 0; ; attempts++ {
 		sh.RLock()
@@ -332,7 +380,7 @@ func (p *VMPool) placeLocked(m *simtime.Meter, sh *poolShard, pid storage.PID, n
 		if raced {
 			return nil, nil
 		}
-		if p.residentPg+npages <= p.numPages {
+		if p.residentPg+used <= p.numPages {
 			ok, err := p.layout.place(e)
 			if err != nil {
 				return nil, err
@@ -342,7 +390,7 @@ func (p *VMPool) placeLocked(m *simtime.Meter, sh *poolShard, pid storage.PID, n
 			}
 		}
 		if attempts > limit {
-			return nil, fmt.Errorf("buffer: cannot fit %d pages: %w", npages, ErrPoolFull)
+			return nil, fmt.Errorf("buffer: cannot fit %d pages: %w", used, ErrPoolFull)
 		}
 		if err := p.evictOneLocked(m); err != nil {
 			return nil, err

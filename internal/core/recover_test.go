@@ -492,3 +492,37 @@ func BenchmarkRecoverDevice(b *testing.B) {
 }
 
 var _ = storage.DefaultPageSize
+
+// TestRecoveryValidatesUsedPagesOnly: validating a blob at recovery reads
+// only the pages its content covers. A 256 KiB blob occupies 127 pages of
+// tier extents; recovery loads 64.
+func TestRecoveryValidatesUsedPagesOnly(t *testing.T) {
+	const pages = 1 << 13
+	dev := storage.NewMemDevice(ps, pages, nil)
+	o := options{Dev: dev, PoolPages: 1 << 11, LogPages: 1 << 10, CkptPages: 1 << 10}
+	db := openTest(t, o)
+	db.CreateRelation("r")
+	content := make([]byte, 256<<10)
+	rand.New(rand.NewSource(5)).Read(content)
+	putCommitted(t, db, "r", []byte("k"), content)
+	img := make([]byte, pages*ps)
+	if err := dev.ReadPages(nil, 0, pages, img); err != nil {
+		t.Fatal(err)
+	}
+
+	o.Dev = storage.NewMemDeviceFrom(ps, pages, nil, img)
+	db2, rep, err := recoverDB(o, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.CloseCommitter()
+	if rep.HashedBlobs != 1 || rep.FailedBlobs != 0 {
+		t.Fatalf("recovery hashed %d blobs, %d failed; want 1 and 0", rep.HashedBlobs, rep.FailedBlobs)
+	}
+	if n := db2.pool.Stats().FixBatchPages.Load(); n != 64 {
+		t.Errorf("recovery loaded %d pages to validate a 256 KiB blob, want 64", n)
+	}
+	if got := readCommitted(t, db2, "r", []byte("k")); !bytes.Equal(got, content) {
+		t.Error("recovered blob reads back wrong")
+	}
+}
