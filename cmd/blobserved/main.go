@@ -67,7 +67,7 @@ func main() {
 		maxInFlight = flag.Int("max-inflight", 64, "admission control: max in-flight requests")
 		maxWait     = flag.Duration("max-queue-wait", 100*time.Millisecond, "admission control: bounded wait before 503")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
-		queueDepth  = flag.Int("queue-depth", storage.DefaultQueueDepth, "per-shard device submission-queue depth (pool miss loads, eviction write-back, commit extent flush)")
+		queueDepth  = flag.Int("queue-depth", storage.DefaultQueueDepth, "per-shard device queue depth: the most concurrent device commands from pool miss loads, eviction write-back and commit extent flush")
 
 		replicaOf    = flag.String("replica-of", "", "run as a read replica tailing this primary base URL (e.g. http://db0:9090)")
 		syncInterval = flag.Duration("sync-interval", 200*time.Millisecond, "replica: pull cadence against the primary")

@@ -154,9 +154,6 @@ func randSummary(rng *rand.Rand) *summary.FuncSummary {
 		s.IO = append(s.IO, summary.Effect{Op: "WritePages", Pos: randPos(rng)})
 	}
 	for i := rng.Intn(2); i > 0; i-- {
-		s.Queue = append(s.Queue, summary.Effect{Op: "SubQueue.Submit", Pos: randPos(rng)})
-	}
-	for i := rng.Intn(2); i > 0; i-- {
 		s.WAL = append(s.WAL, summary.Effect{Op: "AppendLSN", Pos: randPos(rng)})
 	}
 	for i := rng.Intn(2); i > 0; i-- {

@@ -8,8 +8,8 @@ import (
 	"strings"
 )
 
-// deviceMethods are the I/O methods of storage.Device (and the batched
-// reader/writer extensions).
+// deviceMethods are the I/O methods of storage.Device, single-command
+// and vectored.
 var deviceMethods = map[string]bool{
 	"ReadPages":     true,
 	"WritePages":    true,
@@ -22,18 +22,6 @@ var deviceMethods = map[string]bool{
 var pkgFuncs = map[string]bool{
 	"ReadVec":  true,
 	"WriteVec": true,
-}
-
-// queueMethods are the submission/completion-queue entry points on
-// storage.SubQueue. From a latching perspective they are device I/O:
-// Submit and SubmitFunc block when the queue is at depth (the device's
-// queue-depth backpressure) and Wait blocks until the device completes
-// the submission. They classify as "SubQueue.<name>" so the analyzers
-// can distinguish queue submission from a direct device call.
-var queueMethods = map[string]bool{
-	"Submit":     true,
-	"SubmitFunc": true,
-	"Wait":       true,
 }
 
 // Classify reports whether call is a storage I/O operation, returning the
@@ -56,9 +44,6 @@ func Classify(info *types.Info, call *ast.CallExpr) (string, bool) {
 		if deviceMethods[name] && base(fn.Pkg().Path()) == "storage" {
 			return name, true
 		}
-		if queueMethods[name] && base(fn.Pkg().Path()) == "storage" && recvTypeName(fn) == "SubQueue" {
-			return "SubQueue." + name, true
-		}
 		return "", false
 	}
 	// Possibly a qualified package-function call: storage.ReadVec(...).
@@ -74,10 +59,6 @@ func Classify(info *types.Info, call *ast.CallExpr) (string, bool) {
 	}
 	return "", false
 }
-
-// IsQueueOp reports whether op is a submission-queue operation
-// ("SubQueue.*") rather than a direct device call.
-func IsQueueOp(op string) bool { return strings.HasPrefix(op, "SubQueue.") }
 
 // walMethods are the record-mutation entry points on wal.Writer. They
 // matter to the latching analyzers because an append can trigger a

@@ -106,9 +106,8 @@ func newReach(all []analysis.ObjectFact) *reach {
 
 // io returns the first device I/O operation k transitively performs
 // while the caller's latches (held, a sorted list of lock classes) stay
-// held, or "". Submission-queue ops count: Submit blocks on the device's
-// queue depth, which is exactly the stall the latch must not ride. A
-// function whose Unlocks cover every held class is the lock-drop
+// held, or "". A function whose Unlocks cover every held class is the
+// lock-drop
 // protocol running one frame down — its I/O happens outside the
 // caller's critical section, so the chain is clean.
 func (r *reach) io(k string, held []string) string {
@@ -126,8 +125,6 @@ func (r *reach) io(k string, held []string) string {
 	if s, ok := r.sums[k]; ok && !dropsAll(s.Unlocks, held) {
 		if len(s.IO) > 0 {
 			op = s.IO[0].Op
-		} else if len(s.Queue) > 0 {
-			op = s.Queue[0].Op
 		} else {
 			for _, c := range s.Calls {
 				if c.Field {

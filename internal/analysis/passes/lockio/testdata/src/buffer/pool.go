@@ -157,33 +157,3 @@ func (p *pool) goodBookkeepingUnderLock(pid storage.PID) int {
 	defer s.RUnlock()
 	return s.resident[pid]
 }
-
-// ---- submission-queue cases ----
-
-// Submit blocks when the queue is at depth — device backpressure — so
-// holding a pool latch across it serializes readers exactly like a
-// direct write would.
-func (p *pool) badSubmitUnderLock(q *storage.SubQueue, buf []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	t := q.Submit(storage.Vec{Writes: []storage.Seg{{PID: 1, N: 1, Buf: buf}}}) // want `device I/O \(SubQueue\.Submit\) while p\.mu is held`
-	_ = t
-	return nil
-}
-
-func (p *pool) badWaitUnderShard(q *storage.SubQueue, t *storage.Ticket) error {
-	s := &p.shards[1]
-	s.RLock()
-	defer s.RUnlock()
-	return q.Wait(t) // want `device I/O \(SubQueue\.Wait\) while s is held`
-}
-
-// goodSubmitLockDrop claims the victim under the latch and submits the
-// write-back outside it.
-func (p *pool) goodSubmitLockDrop(q *storage.SubQueue, buf []byte) error {
-	p.mu.Lock()
-	victim := p.claimVictim()
-	p.mu.Unlock()
-	t := q.Submit(storage.Vec{Writes: []storage.Seg{{PID: victim, N: 1, Buf: buf}}})
-	return q.Wait(t)
-}

@@ -6,8 +6,7 @@
 //     each acquisition site — the intra-function ordering edges);
 //   - every resolvable call it makes, with the lock classes must-held at
 //     the call site (the inter-function ordering and I/O-context edges);
-//   - the device I/O, submission-queue, and WAL-writer mutations it
-//     performs directly;
+//   - the device I/O and WAL-writer mutations it performs directly;
 //   - bindings of function-typed struct fields to concrete functions
 //     (db.wal.OnCheckpoint = db.writeCheckpoint), which is how the WAL
 //     calls back into the engine — the dynamic edge the lock-order
@@ -50,7 +49,7 @@ var Analyzer = &analysis.Analyzer{
 
 Records, per function: lock classes acquired (with the classes held at
 each acquisition), resolvable calls with the must-held lock set at each
-call site, direct device/queue/WAL effects, function-field bindings, and
+call site, direct device/WAL effects, function-field bindings, and
 the frame pin/release contract. Produces facts only; reports nothing.`,
 	Run:       run,
 	FactTypes: []analysis.Fact{(*FuncSummary)(nil)},
@@ -64,7 +63,6 @@ type FuncSummary struct {
 	Acquires []Acquire // lock classes this function itself acquires
 	Calls    []Call    // resolvable calls, with must-held lock classes
 	IO       []Effect  // direct device I/O
-	Queue    []Effect  // direct submission-queue ops (blocking)
 	WAL      []Effect  // direct WAL-writer mutation
 	Binds    []Bind    // function-typed field bindings made here
 	Unlocks  []string  // lock classes released without a local acquisition (caller-held drops)
@@ -76,7 +74,7 @@ func (*FuncSummary) AFact() {}
 
 func (s *FuncSummary) empty() bool {
 	return len(s.Acquires) == 0 && len(s.Calls) == 0 && len(s.IO) == 0 &&
-		len(s.Queue) == 0 && len(s.WAL) == 0 && len(s.Binds) == 0 &&
+		len(s.WAL) == 0 && len(s.Binds) == 0 &&
 		len(s.Unlocks) == 0 && s.Pins == "" && len(s.Releases) == 0
 }
 
@@ -97,7 +95,7 @@ type Call struct {
 	Pos     string
 }
 
-// An Effect is one direct device/queue/WAL operation.
+// An Effect is one direct device or WAL operation.
 type Effect struct {
 	Op  string
 	Pos string
@@ -291,12 +289,7 @@ func (c *collector) call(st state, call *ast.CallExpr, record bool) {
 		return
 	}
 	if op, ok := storageio.Classify(c.pass.TypesInfo, call); ok {
-		fx := Effect{Op: op, Pos: c.pos(call)}
-		if storageio.IsQueueOp(op) {
-			c.addEffect(&c.s.Queue, "q", fx)
-		} else {
-			c.addEffect(&c.s.IO, "io", fx)
-		}
+		c.addEffect(&c.s.IO, "io", Effect{Op: op, Pos: c.pos(call)})
 		// Fall through: an effect call is still a call. wal.Writer.AppendLSN
 		// is classified as a WAL effect for walorder, but it is also the
 		// entry to the append→flush→checkpoint chain lockorder must walk.

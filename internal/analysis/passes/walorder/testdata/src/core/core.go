@@ -62,20 +62,9 @@ func (d *db) readPages(buf []byte) error {
 	return d.dev.ReadPages(1, 1, buf) // reads are not ordering-sensitive
 }
 
-// ---- submission-queue cases ----
+// ---- closures ----
 
-// flushExtentsAsync hands the sync to the queue's completion goroutine:
-// legal — the submission is sequenced behind everything the submitter
-// already enqueued, the pipelined committer's off-critical-path fsync.
-func (d *db) flushExtentsAsync(q *storage.SubQueue) error {
-	t := q.SubmitFunc(func() error {
-		return d.dev.Sync()
-	})
-	return q.Wait(t)
-}
-
-// strayClosureSync: wrapping the sync in a closure that is not a queue
-// submission grants no exemption.
+// strayClosureSync: wrapping the sync in a closure grants no exemption.
 func (d *db) strayClosureSync() error {
 	fn := func() error {
 		return d.dev.Sync() // want `Device.Sync outside internal/wal and the core committer`

@@ -1,6 +1,6 @@
 // Package maint exercises walorder in the defragmenter: relocation
 // copies must route through core's Txn API (which flushes via the
-// buffer pool and submission queue), never by touching the device or
+// buffer pool), never by touching the device or
 // the ledger's WAL records directly.
 package maint
 

@@ -20,23 +20,3 @@ type Device interface {
 
 func ReadVec(d Device, segs []Seg) error  { return d.ReadPagesVec(segs) }
 func WriteVec(d Device, segs []Seg) error { return d.WritePagesVec(segs) }
-
-// Vec is one submission: scattered reads and writes, optionally followed
-// by a sync.
-type Vec struct {
-	Reads  []Seg
-	Writes []Seg
-	Sync   bool
-}
-
-// Ticket tracks one in-flight submission.
-type Ticket struct{ err error }
-
-// SubQueue is a fixture stub of the engine's submission/completion
-// queue: Submit and SubmitFunc block at depth, Wait blocks until the
-// completion goroutine finishes the submission.
-type SubQueue struct{ dev Device }
-
-func (q *SubQueue) Submit(v Vec) *Ticket               { return &Ticket{} }
-func (q *SubQueue) SubmitFunc(fn func() error) *Ticket { return &Ticket{} }
-func (q *SubQueue) Wait(t *Ticket) error               { return t.err }

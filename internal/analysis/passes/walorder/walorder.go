@@ -23,16 +23,12 @@
 //     contract, so any reference outside core (and any append outside
 //     core's ledger.go) is flagged.
 //   - internal/maint (the online defragmenter) is in scope: relocation
-//     copies must route through the buffer pool / submission queue via
-//     core's Txn API, never by writing pages or syncing the device
+//     copies must route through the buffer pool via core's Txn API, never by writing pages or syncing the device
 //     directly — a defragmenter-issued sync could promote a half-copied
 //     extent to durable ahead of its remap record.
 //
-// Reads are not ordering-sensitive and are never flagged. A Sync inside
-// a closure submitted to storage.SubQueue is allowed: it executes on the
-// queue's completion goroutine, sequenced behind the submitter's prior
-// work — the pipelined committer's off-critical-path fsync. Simulator
-// and tooling packages (oskern, dbsim, bench, remap) are out of scope —
+// Reads are not ordering-sensitive and are never flagged. Simulator and
+// tooling packages (oskern, dbsim, bench, remap) are out of scope —
 // they model devices rather than mutate the engine's.
 //
 // Syncs are also tracked *through* calls: a non-committer function that
@@ -47,7 +43,6 @@ package walorder
 
 import (
 	"go/ast"
-	"go/token"
 	"path/filepath"
 	"strings"
 
@@ -238,15 +233,6 @@ func committerFunc(name string) bool {
 }
 
 func checkFunc(pass *analysis.Pass, pkgBase string, fn *ast.FuncDecl, r *syncReach) {
-	queueBodies := queueClosureBodies(pass, fn)
-	inQueueClosure := func(pos token.Pos) bool {
-		for _, b := range queueBodies {
-			if b.Pos() <= pos && pos < b.End() {
-				return true
-			}
-		}
-		return false
-	}
 	committerCaller := pkgBase == "core" && committerFunc(fn.Name.Name)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -256,9 +242,8 @@ func checkFunc(pass *analysis.Pass, pkgBase string, fn *ast.FuncDecl, r *syncRea
 		op, ok := storageio.Classify(pass.TypesInfo, call)
 		if !ok {
 			// Not a device op itself — but the callee may reach one. A
-			// committer owns its syncs however it delegates them, and a
-			// queue closure runs on the completion goroutine.
-			if committerCaller || inQueueClosure(call.Pos()) {
+			// committer owns its syncs however it delegates them.
+			if committerCaller {
 				return true
 			}
 			if pkg, path, ok := summary.Resolve(pass.TypesInfo, call); ok {
@@ -270,16 +255,7 @@ func checkFunc(pass *analysis.Pass, pkgBase string, fn *ast.FuncDecl, r *syncRea
 		}
 		switch op {
 		case "Sync":
-			if pkgBase == "core" && committerFunc(fn.Name.Name) {
-				return true
-			}
-			if inQueueClosure(call.Pos()) {
-				// Completion-queue goroutine: a Sync inside a closure
-				// handed to SubQueue.SubmitFunc/Submit executes on the
-				// queue's completion goroutine, sequenced behind
-				// everything the submitter already enqueued — the
-				// pipelined committer's legal way to fsync off the
-				// critical path without breaking single-flush ordering.
+			if committerCaller {
 				return true
 			}
 			pass.Reportf(call.Pos(), "Device.Sync outside internal/wal and the core committer: durability ordering is owned by the WAL (single-flush protocol); call wal.Sync or commit through the pipeline")
@@ -288,27 +264,4 @@ func checkFunc(pass *analysis.Pass, pkgBase string, fn *ast.FuncDecl, r *syncRea
 		}
 		return true
 	})
-}
-
-// queueClosureBodies collects the bodies of function literals passed to a
-// submission-queue entry point within fn — code that will run on the
-// completion-queue goroutine, not the declaring one.
-func queueClosureBodies(pass *analysis.Pass, fn *ast.FuncDecl) []*ast.BlockStmt {
-	var bodies []*ast.BlockStmt
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if op, ok := storageio.Classify(pass.TypesInfo, call); !ok || !storageio.IsQueueOp(op) {
-			return true
-		}
-		for _, arg := range call.Args {
-			if lit, ok := arg.(*ast.FuncLit); ok && lit.Body != nil {
-				bodies = append(bodies, lit.Body)
-			}
-		}
-		return true
-	})
-	return bodies
 }

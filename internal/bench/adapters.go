@@ -73,10 +73,11 @@ type OurOptions struct {
 // the shared NVMe cost model.
 func NewOurSystem(v OurVariant, o OurOptions) (*OurSystem, error) {
 	// The engine sees asynchronous write semantics (§III-C commit path:
-	// async extent flush + group commit); reads stay synchronous.
-	dev := storage.NewAsyncWriteDevice(
-		storage.NewMemDevice(storage.DefaultPageSize, o.DevPages, simtime.DefaultNVMe()),
-		simtime.DefaultNVMe())
+	// async extent flush + group commit): a write or sync costs its
+	// bandwidth share but no command latency. Reads stay synchronous.
+	cost := simtime.DefaultNVMe()
+	cost.WriteLatency, cost.SyncLatency = 0, 0
+	dev := storage.NewMemDevice(storage.DefaultPageSize, o.DevPages, cost)
 	db, err := core.New(dev,
 		core.WithPoolPages(o.PoolPages),
 		core.WithLogPages(o.LogPages),

@@ -67,8 +67,7 @@ func (p *Pending) Flush(m *simtime.Meter) error {
 	return nil
 }
 
-// Release unpins all pending frames. Call after Flush (commit) or after
-// Discard (abort).
+// Release unpins all pending frames after Flush (commit).
 func (p *Pending) Release() {
 	for _, f := range p.Frames {
 		f.Release()
@@ -76,22 +75,19 @@ func (p *Pending) Release() {
 	p.Frames = nil
 }
 
-// ReleaseUnflushed unpins the pending frames after a failed commit,
-// without writing anything back: prevent_evict is cleared and the cached
-// (dirty, uncommitted) copies are dropped from the pool, so the failure
-// can neither wedge eviction with leaked pins nor let later eviction
-// write pages the WAL does not cover. Allocator bookkeeping is left
-// untouched — after a commit error the database is in doubt and
-// recovery, not the allocator, decides the extents' fate.
-func (p *Pending) ReleaseUnflushed() {
-	for _, f := range p.Frames {
-		f.SetPreventEvict(false)
+// Unpin releases the pending frames of a transaction that will not flush
+// them and returns their head PIDs. Nothing is written back: the frames
+// stay resident and evict-protected — a lock-free reader may still pin
+// them, and none of their uncommitted pages may reach the device — until
+// the caller drops them.
+func (p *Pending) Unpin() []storage.PID {
+	pids := make([]storage.PID, len(p.Frames))
+	for i, f := range p.Frames {
+		pids[i] = f.HeadPID
 		f.Release()
 	}
-	for _, f := range p.Frames {
-		p.mgr.Pool.Drop(f.HeadPID)
-	}
 	p.Frames = nil
+	return pids
 }
 
 // Discard aborts the pending allocation: frames are dropped without

@@ -156,8 +156,8 @@ func poolVars(db *core.DB) map[string]any {
 		"alias_direct_uses": a.DirectUses,
 		"alias_cas_retries": a.CASRetries,
 		"alias_shootdowns":  a.Shootdowns,
-		// Device submission/completion queue; in the aggregate map the
-		// depth sums across shards (total device slots in the topology).
+		// Device queue-depth gate; in the aggregate map the depth sums
+		// across shards (total device slots in the topology).
 		"queue_depth":        int64(q.Depth),
 		"queue_inflight":     q.Inflight,
 		"queue_submitted":    q.Submitted,

@@ -46,12 +46,12 @@ func segList(segs []storage.Seg) string {
 
 func (d *callLog) ReadPagesVec(m *simtime.Meter, segs []storage.Seg) error {
 	d.record("VR" + segList(segs))
-	return d.Device.(storage.BatchReader).ReadPagesVec(m, segs)
+	return d.Device.ReadPagesVec(m, segs)
 }
 
 func (d *callLog) WritePagesVec(m *simtime.Meter, segs []storage.Seg) error {
 	d.record("VW" + segList(segs))
-	return d.Device.(storage.BatchWriter).WritePagesVec(m, segs)
+	return d.Device.WritePagesVec(m, segs)
 }
 
 // ioExpect is the exact device and pool traffic of one operation.
@@ -61,12 +61,15 @@ type ioExpect struct {
 	pool  StatsSnapshot // LockWaitNs is wall-clock and not compared
 }
 
-// TestPoolIOPattern pins the device commands each frame layout issues, with
-// and without a submission queue. The contiguous layout (NewVMPool) moves
-// an extent with one command and coalesces device- and slab-adjacent
-// misses; the scattered layout (NewHTPool, the Our.ht baseline) issues one
-// command per page. Figure outputs are too noisy to guard that character,
-// so the commands themselves are asserted.
+// TestPoolIOPattern pins the device commands each frame layout issues. The
+// contiguous layout (NewVMPool) moves an extent with one command and
+// coalesces device- and slab-adjacent misses; the scattered layout
+// (NewHTPool, the Our.ht baseline) issues one command per page, and both
+// write a dirty range back as one vectored submission. Figure outputs are
+// too noisy to guard that character, so the commands themselves are
+// asserted. Every row runs twice: on the bare device ("direct") and behind
+// the engine's queue-depth gate ("queue"), which must pass each command
+// through unchanged.
 func TestPoolIOPattern(t *testing.T) {
 	type op struct {
 		name string
@@ -74,7 +77,7 @@ func TestPoolIOPattern(t *testing.T) {
 		// measured operation.
 		setup func(t *testing.T, p Pool)
 		run   func(t *testing.T, p Pool)
-		// want is keyed by "<layout>/<direct|queue>".
+		// want is keyed by layout.
 		want map[string]ioExpect
 	}
 	release := func(fs ...*Frame) {
@@ -94,22 +97,12 @@ func TestPoolIOPattern(t *testing.T) {
 				release(f)
 			},
 			want: map[string]ioExpect{
-				"vmcache/direct": {
+				"vmcache": {
 					calls: []string{"R8+4"},
 					dev:   storage.StatsSnapshot{ReadOps: 1, BytesRead: 4 * ps},
 					pool:  StatsSnapshot{Misses: 1},
 				},
-				"vmcache/queue": {
-					calls: []string{"R8+4"},
-					dev:   storage.StatsSnapshot{ReadOps: 1, BytesRead: 4 * ps},
-					pool:  StatsSnapshot{Misses: 1},
-				},
-				"ht/direct": {
-					calls: []string{"R8+1", "R9+1", "R10+1", "R11+1"},
-					dev:   storage.StatsSnapshot{ReadOps: 4, BytesRead: 4 * ps},
-					pool:  StatsSnapshot{Misses: 1},
-				},
-				"ht/queue": {
+				"ht": {
 					calls: []string{"R8+1", "R9+1", "R10+1", "R11+1"},
 					dev:   storage.StatsSnapshot{ReadOps: 4, BytesRead: 4 * ps},
 					pool:  StatsSnapshot{Misses: 1},
@@ -128,22 +121,12 @@ func TestPoolIOPattern(t *testing.T) {
 				release(fs...)
 			},
 			want: map[string]ioExpect{
-				"vmcache/direct": {
+				"vmcache": {
 					calls: []string{"VR[10+6 40+2]"},
 					dev:   storage.StatsSnapshot{ReadOps: 2, BytesRead: 8 * ps, VecReads: 1, VecReadSegs: 2},
 					pool:  StatsSnapshot{Misses: 4, FixBatches: 1, FixBatchPages: 8, ReadVecSegments: 2},
 				},
-				"vmcache/queue": {
-					calls: []string{"VR[10+6 40+2]"},
-					dev:   storage.StatsSnapshot{ReadOps: 2, BytesRead: 8 * ps, VecReads: 1, VecReadSegs: 2},
-					pool:  StatsSnapshot{Misses: 4, FixBatches: 1, FixBatchPages: 8, ReadVecSegments: 2},
-				},
-				"ht/direct": {
-					calls: []string{"VR[10+1 11+1 12+1 13+1 14+1 15+1 40+1 41+1]"},
-					dev:   storage.StatsSnapshot{ReadOps: 8, BytesRead: 8 * ps, VecReads: 1, VecReadSegs: 8},
-					pool:  StatsSnapshot{Misses: 4, FixBatches: 1, FixBatchPages: 8, ReadVecSegments: 8},
-				},
-				"ht/queue": {
+				"ht": {
 					calls: []string{"VR[10+1 11+1 12+1 13+1 14+1 15+1 40+1 41+1]"},
 					dev:   storage.StatsSnapshot{ReadOps: 8, BytesRead: 8 * ps, VecReads: 1, VecReadSegs: 8},
 					pool:  StatsSnapshot{Misses: 4, FixBatches: 1, FixBatchPages: 8, ReadVecSegments: 8},
@@ -165,22 +148,12 @@ func TestPoolIOPattern(t *testing.T) {
 				release(fs...)
 			},
 			want: map[string]ioExpect{
-				"vmcache/direct": {
+				"vmcache": {
 					calls: []string{"VR[10+2 14+2]"},
 					dev:   storage.StatsSnapshot{ReadOps: 2, BytesRead: 4 * ps, VecReads: 1, VecReadSegs: 2},
 					pool:  StatsSnapshot{Misses: 2, FixBatches: 1, FixBatchPages: 4, ReadVecSegments: 2},
 				},
-				"vmcache/queue": {
-					calls: []string{"VR[10+2 14+2]"},
-					dev:   storage.StatsSnapshot{ReadOps: 2, BytesRead: 4 * ps, VecReads: 1, VecReadSegs: 2},
-					pool:  StatsSnapshot{Misses: 2, FixBatches: 1, FixBatchPages: 4, ReadVecSegments: 2},
-				},
-				"ht/direct": {
-					calls: []string{"VR[10+1 11+1 14+1 15+1]"},
-					dev:   storage.StatsSnapshot{ReadOps: 4, BytesRead: 4 * ps, VecReads: 1, VecReadSegs: 4},
-					pool:  StatsSnapshot{Misses: 2, FixBatches: 1, FixBatchPages: 4, ReadVecSegments: 4},
-				},
-				"ht/queue": {
+				"ht": {
 					calls: []string{"VR[10+1 11+1 14+1 15+1]"},
 					dev:   storage.StatsSnapshot{ReadOps: 4, BytesRead: 4 * ps, VecReads: 1, VecReadSegs: 4},
 					pool:  StatsSnapshot{Misses: 2, FixBatches: 1, FixBatchPages: 4, ReadVecSegments: 4},
@@ -206,22 +179,12 @@ func TestPoolIOPattern(t *testing.T) {
 				release(f)
 			},
 			want: map[string]ioExpect{
-				"vmcache/direct": {
+				"vmcache": {
 					calls: []string{"R10+4"},
 					dev:   storage.StatsSnapshot{ReadOps: 1, BytesRead: 4 * ps},
 					pool:  StatsSnapshot{Misses: 1, Upgrades: 1},
 				},
-				"vmcache/queue": {
-					calls: []string{"R10+4"},
-					dev:   storage.StatsSnapshot{ReadOps: 1, BytesRead: 4 * ps},
-					pool:  StatsSnapshot{Misses: 1, Upgrades: 1},
-				},
-				"ht/direct": {
-					calls: []string{"R10+1", "R11+1", "R12+1", "R13+1"},
-					dev:   storage.StatsSnapshot{ReadOps: 4, BytesRead: 4 * ps},
-					pool:  StatsSnapshot{Misses: 1, Upgrades: 1},
-				},
-				"ht/queue": {
+				"ht": {
 					calls: []string{"R10+1", "R11+1", "R12+1", "R13+1"},
 					dev:   storage.StatsSnapshot{ReadOps: 4, BytesRead: 4 * ps},
 					pool:  StatsSnapshot{Misses: 1, Upgrades: 1},
@@ -243,22 +206,12 @@ func TestPoolIOPattern(t *testing.T) {
 				release(f)
 			},
 			want: map[string]ioExpect{
-				"vmcache/direct": {
-					calls: []string{"W21+2"},
-					dev:   storage.StatsSnapshot{WriteOps: 1, BytesWritten: 2 * ps},
-					pool:  StatsSnapshot{Misses: 1, Writebacks: 1},
-				},
-				"vmcache/queue": {
+				"vmcache": {
 					calls: []string{"VW[21+2]"},
 					dev:   storage.StatsSnapshot{WriteOps: 1, BytesWritten: 2 * ps, VecWrites: 1, VecWriteSegs: 1},
 					pool:  StatsSnapshot{Misses: 1, Writebacks: 1},
 				},
-				"ht/direct": {
-					calls: []string{"W21+1", "W22+1"},
-					dev:   storage.StatsSnapshot{WriteOps: 2, BytesWritten: 2 * ps},
-					pool:  StatsSnapshot{Misses: 1, Writebacks: 1},
-				},
-				"ht/queue": {
+				"ht": {
 					calls: []string{"VW[21+1 22+1]"},
 					dev:   storage.StatsSnapshot{WriteOps: 2, BytesWritten: 2 * ps, VecWrites: 1, VecWriteSegs: 2},
 					pool:  StatsSnapshot{Misses: 1, Writebacks: 1},
@@ -289,23 +242,13 @@ func TestPoolIOPattern(t *testing.T) {
 				release(f, pinned)
 			},
 			want: map[string]ioExpect{
-				"vmcache/direct": {
-					calls: []string{"W1+2", "R16+4"},
-					dev:   storage.StatsSnapshot{ReadOps: 1, WriteOps: 1, BytesRead: 4 * ps, BytesWritten: 2 * ps},
-					pool:  StatsSnapshot{Misses: 1, Evictions: 1, Writebacks: 1},
-				},
-				"vmcache/queue": {
+				"vmcache": {
 					calls: []string{"VW[1+2]", "R16+4"},
 					dev: storage.StatsSnapshot{ReadOps: 1, WriteOps: 1, BytesRead: 4 * ps, BytesWritten: 2 * ps,
 						VecWrites: 1, VecWriteSegs: 1},
 					pool: StatsSnapshot{Misses: 1, Evictions: 1, Writebacks: 1},
 				},
-				"ht/direct": {
-					calls: []string{"W1+1", "W2+1", "R16+1", "R17+1", "R18+1", "R19+1"},
-					dev:   storage.StatsSnapshot{ReadOps: 4, WriteOps: 2, BytesRead: 4 * ps, BytesWritten: 2 * ps},
-					pool:  StatsSnapshot{Misses: 1, Evictions: 1, Writebacks: 1},
-				},
-				"ht/queue": {
+				"ht": {
 					calls: []string{"VW[1+1 2+1]", "R16+1", "R17+1", "R18+1", "R19+1"},
 					dev: storage.StatsSnapshot{ReadOps: 4, WriteOps: 2, BytesRead: 4 * ps, BytesWritten: 2 * ps,
 						VecWrites: 1, VecWriteSegs: 2},
@@ -320,18 +263,19 @@ func TestPoolIOPattern(t *testing.T) {
 	}
 	for _, o := range ops {
 		for layout, mk := range layouts {
-			for _, queued := range []bool{false, true} {
-				key := layout + "/direct"
-				if queued {
-					key = layout + "/queue"
+			for _, gated := range []bool{false, true} {
+				name := layout + "/direct"
+				if gated {
+					name = layout + "/queue"
 				}
-				t.Run(o.name+"/"+key, func(t *testing.T) {
+				t.Run(o.name+"/"+name, func(t *testing.T) {
 					mem := newDev(256)
 					dev := &callLog{Device: mem}
-					p := mk(dev, 8)
-					if queued {
-						p.SetQueue(storage.NewSubQueue(dev, 4))
+					var pdev storage.Device = dev
+					if gated {
+						pdev = storage.NewSubQueue(dev, 4).Device()
 					}
+					p := mk(pdev, 8)
 					if o.setup != nil {
 						o.setup(t, p)
 					}
@@ -341,7 +285,7 @@ func TestPoolIOPattern(t *testing.T) {
 
 					o.run(t, p)
 
-					want := o.want[key]
+					want := o.want[layout]
 					if !reflect.DeepEqual(dev.calls, want.calls) {
 						t.Errorf("device calls = %q, want %q", dev.calls, want.calls)
 					}

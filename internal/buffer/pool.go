@@ -305,11 +305,6 @@ type Pool interface {
 	ResidentPages() int
 	// Stats exposes the pool counters.
 	Stats() *Stats
-	// SetQueue routes the pool's device I/O — miss loads and eviction
-	// write-back — through a submission/completion queue instead of direct
-	// device calls. nil (the default) keeps direct calls. Set once at
-	// engine construction, before the pool serves traffic.
-	SetQueue(q *storage.SubQueue)
 
 	release(f *Frame)
 }

@@ -28,7 +28,6 @@ type VMPool struct {
 	pageSize int
 	numPages int // resident budget (the buffer pool size)
 	dev      storage.Device
-	q        *storage.SubQueue
 	layout   frameLayout
 
 	resident shardedResident
@@ -102,9 +101,6 @@ func (p *VMPool) PageSize() int { return p.pageSize }
 
 // Stats implements Pool.
 func (p *VMPool) Stats() *Stats { return &p.stats }
-
-// SetQueue implements Pool.
-func (p *VMPool) SetQueue(q *storage.SubQueue) { p.q = q }
 
 // ResidentPages implements Pool.
 func (p *VMPool) ResidentPages() int {
@@ -222,23 +218,15 @@ func (p *VMPool) FixExtents(m *simtime.Meter, specs []ExtentSpec) ([]*Frame, err
 	return frames, nil
 }
 
-// loadMisses reads all freshly claimed entries with one ReadVec submission
-// and publishes them — or, if the read fails, publishes the failure to
-// every waiter.
+// loadMisses reads all freshly claimed entries with one vectored
+// submission and publishes them — or, if the read fails, publishes the
+// failure to every waiter.
 func (p *VMPool) loadMisses(m *simtime.Meter, loads []*entry) error {
 	if len(loads) == 0 {
 		return nil
 	}
 	segs := p.layout.missSegs(loads)
-	var err error
-	if p.q != nil {
-		// One queue submission for the whole miss set: the cold read's
-		// device work overlaps with other workers' in-flight submissions
-		// up to the queue depth, instead of serializing on the device.
-		err = p.q.Wait(p.q.Submit(m, storage.Vec{Reads: segs}))
-	} else {
-		err = storage.ReadVec(p.dev, m, segs)
-	}
+	err := storage.ReadVec(p.dev, m, segs)
 	if err == nil {
 		p.stats.FixBatches.Add(1)
 		p.stats.ReadVecSegments.Add(int64(len(segs)))
@@ -444,30 +432,18 @@ func (p *VMPool) evictClaimedLocked(m *simtime.Meter, e *entry) error {
 	return nil
 }
 
-// writeBack flushes the dirty range of a pinned or evict-claimed entry, one
-// command per contiguous run of frame memory. It takes no pool lock: the
-// frame memory is fixed once placed and the caller's pin/claim keeps it.
+// writeBack flushes the dirty range of a pinned or evict-claimed entry as
+// one vectored submission, one segment per contiguous run of frame memory.
+// It takes no pool lock: the frame memory is fixed once placed and the
+// caller's pin/claim keeps it.
 func (p *VMPool) writeBack(m *simtime.Meter, e *entry) error {
 	lo, hi := e.takeDirty()
 	if lo == hi {
 		return nil
 	}
-	segs := p.layout.segs(nil, e, lo, hi)
-	if p.q != nil {
-		// The dirty range goes out as one queue submission, so eviction
-		// write-back overlaps other workers' in-flight I/O. The caller
-		// still waits: the claim/dirty bookkeeping needs the result.
-		if err := p.q.Wait(p.q.Submit(m, storage.Vec{Writes: segs})); err != nil {
-			e.markDirty(lo, hi) // restore so the data is not silently lost
-			return err
-		}
-	} else {
-		for _, s := range segs {
-			if err := p.dev.WritePages(m, s.PID, s.N, s.Buf); err != nil {
-				e.markDirty(int(s.PID-e.headPID), hi)
-				return err
-			}
-		}
+	if err := storage.WriteVec(p.dev, m, p.layout.segs(nil, e, lo, hi)); err != nil {
+		e.markDirty(lo, hi) // restore so the data is not silently lost
+		return err
 	}
 	p.stats.Writebacks.Add(1)
 	return nil

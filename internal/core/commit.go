@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"blobdb/internal/simtime"
 	"blobdb/internal/storage"
 )
 
@@ -17,11 +16,12 @@ import (
 // §V-A): Txn.Commit hands the transaction to the committer and returns
 // once the transaction's batch is durable and its extents are flushed.
 // The committer makes a batch durable with one shared WAL sync, then
-// submits the batch's extent write-back to the device queue and forms the
-// next batch while that flush runs, so I/O stays off the workers' critical
-// path. Hashing is not deferred: the streaming blob writer absorbs every
-// chunk into the resumable SHA-256 while the data is still cache-hot, so
-// Blob States arrive at the committer already final. The ordering rules
+// starts the batch's commit flight — one goroutine that flushes the
+// extents and finalizes the batch — and forms the next batch while that
+// flush runs, so I/O stays off the workers' critical path. Hashing is not
+// deferred: the streaming blob writer absorbs every chunk into the
+// resumable SHA-256 while the data is still cache-hot, so Blob States
+// arrive at the committer already final. The ordering rules
 // are specified in DESIGN.md §5, "Commit ordering".
 //
 // A transaction is committed iff its commit record (with the final,
@@ -34,9 +34,8 @@ import (
 // last flight's device writes have landed. It waits for the landing, not
 // for finalization: the landing is signalled before the acks go out, so
 // waking the committer does not queue it ahead of the acknowledged
-// workers. A batch's finalizer goroutine ends when the batch is
-// finalized, so an idle DB holds no goroutine and a dropped one can be
-// garbage-collected.
+// workers. A flight's goroutine ends when its batch is finalized, so an
+// idle DB holds no goroutine and a dropped one can be garbage-collected.
 type committer struct {
 	ch   chan *Txn
 	mu   sync.Mutex
@@ -70,19 +69,19 @@ type committer struct {
 	gated    bool
 
 	// Pipelined extent write-back: after the shared WAL sync, a batch's
-	// extent flush is submitted to the device queue and the committer moves
+	// extent flush runs on its flight goroutine and the committer moves
 	// on, so batch N's WAL work overlaps batch N-1's write-back. At most
 	// one flight is outstanding; flightMu guards the pointer.
 	flightMu sync.Mutex
 	flight   *commitFlight
 }
 
-// commitFlight is one batch's in-flight extent write-back. ticket covers
-// the device writes; landed closes once they completed (the idle
-// committer's exit signal); done closes after finalization — pins
-// released, frees applied, locks released, durability acks delivered.
+// commitFlight is one batch's in-flight extent write-back, run by one
+// goroutine. landed closes once the device writes completed (the pipeline
+// barrier and the idle committer's exit signal); done closes after
+// finalization — pins released, frees applied, locks released,
+// durability acks delivered.
 type commitFlight struct {
-	ticket *storage.Ticket
 	landed chan struct{}
 	done   chan struct{}
 }
@@ -343,7 +342,7 @@ func (db *DB) CloseCommitter() error {
 // finishBatch runs the deferred half of a batch of transactions on the
 // committer: every transaction's WAL records are flushed, then one shared
 // sync makes the whole batch durable, then the batch's extent write-back
-// is *submitted* to the device queue and the committer returns to form the
+// is *started* on its commit flight and the committer returns to form the
 // next batch — so batch N's WAL sync overlaps batch N-1's extent flush.
 // §III-C ordering is preserved: a transaction's extents flush strictly
 // after its own commit record is durable; the pipelining only overlaps the
@@ -377,8 +376,8 @@ func (db *DB) finishBatch(batch []*Txn) {
 		if len(flushed) > 0 {
 			// The shared group-commit sync: one durability point for the
 			// whole batch. The previous batch's extent write-back is still
-			// in flight on the queue while this sync runs — that is the
-			// pipeline overlap.
+			// in flight while this sync runs — that is the pipeline
+			// overlap.
 			if err := db.wal.Sync(nil); err != nil {
 				for _, t := range flushed {
 					db.failCommit(t, err)
@@ -391,8 +390,8 @@ func (db *DB) finishBatch(batch []*Txn) {
 		}
 		if len(flushed) > 0 {
 			// Pipeline handoff: join the previous flight's device writes
-			// (bounding the pipeline at one outstanding batch), then submit
-			// this batch's flush and move on.
+			// (bounding the pipeline at one outstanding batch), then start
+			// this batch's flight and move on.
 			db.joinCommitFlight()
 			db.submitCommitFlush(flushed)
 		}
@@ -406,37 +405,38 @@ func (db *DB) finishBatch(batch []*Txn) {
 	}
 }
 
-// submitCommitFlush hands a durable batch's extent write-back to the
-// submission queue and finalizes the transactions when the writes land.
-// Called with ckptMu held; on an inline queue the flush therefore runs
-// under ckptMu exactly like the pre-pipeline committer, which is what
-// keeps crashsim's op ordering unchanged.
+// submitCommitFlush starts a durable batch's commit flight: one goroutine
+// that flushes the batch's extents, closes landed, then finalizes the
+// transactions. Called with ckptMu held. Under WithInlineQueue it returns
+// only once the writes landed, so the flush runs under ckptMu exactly like
+// the pre-pipeline committer — which keeps crashsim's op ordering
+// unchanged.
 func (db *DB) submitCommitFlush(txns []*Txn) {
 	f := &commitFlight{landed: make(chan struct{}), done: make(chan struct{})}
-	f.ticket = db.queue.SubmitFunc(nil, func(m *simtime.Meter) error {
-		for _, t := range txns {
-			for _, p := range t.pendings {
-				if t.flushErr = p.Flush(m); t.flushErr != nil {
-					break
-				}
-			}
-		}
-		return nil
-	})
 	db.commit.flightMu.Lock()
 	db.commit.flight = f
 	db.commit.flightMu.Unlock()
-	go db.finalizeCommitFlight(f, txns)
+	go db.runCommitFlight(f, txns)
+	if db.opts.InlineQueue {
+		<-f.landed
+	}
 }
 
-// finalizeCommitFlight completes a batch once its write-back ticket
-// signals, after closing landed: failed transactions are failCommit'ed;
-// successful ones release their pinned frames, apply their frees, drop
-// their locks, and deliver their durability acks (waitC last, so an acked
-// caller observes every other effect). Runs off the committer goroutine —
-// the committer is already forming the next batch.
-func (db *DB) finalizeCommitFlight(f *commitFlight, txns []*Txn) {
-	db.queue.Wait(f.ticket)
+// runCommitFlight is a flight's goroutine. It writes every transaction's
+// extents back, closes landed, then completes the batch: failed
+// transactions are failCommit'ed; successful ones release their pinned
+// frames, apply their frees, drop their locks, and deliver their
+// durability acks (waitC last, so an acked caller observes every other
+// effect). The committer is already forming the next batch meanwhile.
+func (db *DB) runCommitFlight(f *commitFlight, txns []*Txn) {
+	// Background work is charged to no meter (see finishBatch).
+	for _, t := range txns {
+		for _, p := range t.pendings {
+			if t.flushErr = p.Flush(nil); t.flushErr != nil {
+				break
+			}
+		}
+	}
 	close(f.landed)
 	for _, t := range txns {
 		if t.flushErr != nil {
@@ -447,7 +447,7 @@ func (db *DB) finalizeCommitFlight(f *commitFlight, txns []*Txn) {
 			p.Release()
 		}
 		db.registerDedup(t.regs)
-		db.deferFrees(t.id, t.frees)
+		db.deferFrees(t.id, nil, t.frees)
 		t.releaseLocks()
 		db.endTxn(t.id)
 		t.writer.Close()
@@ -464,7 +464,7 @@ func (db *DB) finalizeCommitFlight(f *commitFlight, txns []*Txn) {
 // current batch.
 func (db *DB) joinCommitFlight() {
 	if f := db.commit.currentFlight(); f != nil {
-		db.queue.Wait(f.ticket)
+		<-f.landed
 	}
 }
 
@@ -480,6 +480,9 @@ func (db *DB) drainCommitFlight() {
 // failCommit records a background commit failure and releases everything
 // the transaction holds — pinned frames, locks, WAL buffer, byte budget —
 // so the system cannot wedge; the waiting Commit receives the error.
+// Allocator bookkeeping is left untouched: after a commit error the
+// database is in doubt, and recovery, not the allocator, decides the
+// extents' fate.
 func (db *DB) failCommit(t *Txn, err error) {
 	err = fmt.Errorf("core: commit txn %d: %w", t.id, err)
 	db.commit.mu.Lock()
@@ -487,9 +490,14 @@ func (db *DB) failCommit(t *Txn, err error) {
 		db.commit.err = err
 	}
 	db.commit.mu.Unlock()
+	// The unflushed frames leave the pool without write-back, so later
+	// eviction cannot write pages the commit never made durable — once
+	// no reader that may have seen them still pins them.
+	var drops []storage.PID
 	for _, p := range t.pendings {
-		p.ReleaseUnflushed()
+		drops = append(drops, p.Unpin()...)
 	}
+	db.deferFrees(t.id, drops, nil)
 	t.releaseLocks()
 	db.endTxn(t.id)
 	t.writer.Close()

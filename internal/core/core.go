@@ -51,11 +51,11 @@ type options struct {
 	WorkerLocalAliasPages int
 	// WALBufferCap sizes per-transaction WAL buffers (default 10 MB).
 	WALBufferCap int
-	// QueueDepth sizes the device submission/completion queue (default
-	// storage.DefaultQueueDepth).
+	// QueueDepth bounds the buffer pool's concurrent device commands
+	// (default storage.DefaultQueueDepth).
 	QueueDepth int
-	// InlineQueue makes queue submissions execute synchronously on the
-	// submitting goroutine — crashsim's determinism mode.
+	// InlineQueue makes the committer wait for each batch's extent flush
+	// before it forms the next batch — crashsim's determinism mode.
 	InlineQueue bool
 }
 
@@ -81,7 +81,7 @@ type DB struct {
 	dedup   dedup
 	nextTxn atomic.Uint64
 	commit  *committer        // the group committer (commit.go)
-	queue   *storage.SubQueue // device submission queue (pool I/O + commit flush)
+	queue   *storage.SubQueue // depth gate on the buffer pool's device commands
 
 	// ckptMu serializes checkpoints against commits so a checkpoint image
 	// never captures a commit's tree change without its extent flush.
@@ -143,17 +143,12 @@ func open(o options) (*DB, error) {
 	db.wal.CheckpointThreshold = int64(o.LogPages) * int64(o.Dev.PageSize()) / 2
 	db.wal.OnCheckpoint = db.writeCheckpoint
 
-	if o.InlineQueue {
-		db.queue = storage.NewInlineSubQueue(o.Dev)
-	} else {
-		db.queue = storage.NewSubQueue(o.Dev, o.QueueDepth)
-	}
+	db.queue = storage.NewSubQueue(o.Dev, o.QueueDepth)
 	if o.HashTablePool {
-		db.pool = buffer.NewHTPool(o.Dev, o.PoolPages)
+		db.pool = buffer.NewHTPool(db.queue.Device(), o.PoolPages)
 	} else {
-		db.pool = buffer.NewVMPool(o.Dev, o.PoolPages)
+		db.pool = buffer.NewVMPool(db.queue.Device(), o.PoolPages)
 	}
-	db.pool.SetQueue(db.queue)
 	db.alloc = extent.NewAllocator(extent.NewTierTable(extent.DefaultTiersPerLevel),
 		heapStart, storage.PID(n))
 	db.alias = buffer.NewAliasManager(o.Dev.PageSize(), o.WorkerLocalAliasPages, o.PoolPages)
@@ -181,8 +176,8 @@ func (db *DB) Allocator() *extent.Allocator { return db.alloc }
 // AliasManager exposes the aliasing-area manager.
 func (db *DB) AliasManager() *buffer.AliasManager { return db.alias }
 
-// Queue exposes the device submission/completion queue (metrics reach
-// through for depth/inflight counters).
+// Queue exposes the depth gate on the pool's device commands (metrics
+// reach through for depth/inflight counters).
 func (db *DB) Queue() *storage.SubQueue { return db.queue }
 
 // CreateRelation creates a relation ("CREATE TABLE image(filename VARCHAR

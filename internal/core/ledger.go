@@ -239,7 +239,7 @@ func (db *DB) undoShares(txn uint64, specs []blob.FreeSpec) {
 	}
 	d.mu.Unlock()
 	if len(orphans) > 0 {
-		db.deferFrees(txn, orphans)
+		db.deferFrees(txn, nil, orphans)
 	}
 }
 

@@ -47,17 +47,16 @@ func WithWALBufferCap(n int) Option { return func(o *options) { o.WALBufferCap =
 // driver and goes with that module's next change.
 func WithAsyncCommit(bool) Option { return func(*options) {} }
 
-// WithQueueDepth sizes the device submission/completion queue that the
-// buffer pool's miss loads, eviction write-back, and the pipelined
-// committer's extent flush all route through (default
-// storage.DefaultQueueDepth; values below 2 are clamped to 2).
+// WithQueueDepth bounds how many device commands the buffer pool's miss
+// loads, eviction write-back and the committer's extent flush run at once
+// (default storage.DefaultQueueDepth).
 func WithQueueDepth(n int) Option { return func(o *options) { o.QueueDepth = n } }
 
-// WithInlineQueue makes the submission queue execute synchronously on the
-// submitting goroutine instead of on completion goroutines. The pipelined
-// code paths still run, but the device observes operations in caller order
-// with no concurrency — crashsim selects this so FaultDevice's op-hash
-// replay stays deterministic.
+// WithInlineQueue makes the committer wait for each batch's extent flush
+// to land before it forms the next batch. The flush still runs on its own
+// goroutine, but the device observes operations in the committer's order
+// with no overlap — crashsim selects this so FaultDevice's op-hash replay
+// stays deterministic.
 func WithInlineQueue(on bool) Option { return func(o *options) { o.InlineQueue = on } }
 
 // New initializes a database over dev with functional options:

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"blobdb/internal/blob"
+	"blobdb/internal/storage"
 )
 
 // Deferred extent reclamation.
@@ -51,6 +52,7 @@ type reclaimer struct {
 type deferredFrees struct {
 	clock uint64
 	txn   uint64
+	drops []storage.PID // extents leaving the pool only
 	specs []blob.FreeSpec
 }
 
@@ -64,16 +66,18 @@ func (db *DB) beginTxn(id uint64) {
 	r.mu.Unlock()
 }
 
-// deferFrees queues a committed transaction's extent frees for
-// reclamation. Call before endTxn so the committing transaction's own
-// registration holds its frees back until it has fully ended.
-func (db *DB) deferFrees(txn uint64, specs []blob.FreeSpec) {
-	if len(specs) == 0 {
+// deferFrees queues a finished transaction's pool drops and extent frees
+// for reclamation: a committed transaction's frees, and an aborted or
+// failed one's unflushed frames, which lock-free readers may still pin.
+// Call before endTxn so the transaction's own registration holds them
+// back until it has fully ended.
+func (db *DB) deferFrees(txn uint64, drops []storage.PID, specs []blob.FreeSpec) {
+	if len(drops) == 0 && len(specs) == 0 {
 		return
 	}
 	r := &db.reclaim
 	r.mu.Lock()
-	r.pending = append(r.pending, deferredFrees{clock: r.clock, txn: txn, specs: specs})
+	r.pending = append(r.pending, deferredFrees{clock: r.clock, txn: txn, drops: drops, specs: specs})
 	r.clock++
 	r.mu.Unlock()
 }
@@ -86,23 +90,7 @@ func (db *DB) endTxn(id uint64) {
 	r := &db.reclaim
 	r.mu.Lock()
 	delete(r.active, id)
-	horizon := uint64(math.MaxUint64)
-	for _, tick := range r.active {
-		if tick < horizon {
-			horizon = tick
-		}
-	}
-	n := 0
-	for n < len(r.pending) && r.pending[n].clock < horizon {
-		n++
-	}
-	ready := r.pending[:n:n]
-	r.pending = r.pending[n:]
-	for _, d := range ready {
-		// Ledger-aware apply: frees of shared extents decrement the
-		// refcount instead of returning the extent to the allocator.
-		db.applyFrees(d.txn, d.specs)
-	}
+	db.applyReadyLocked()
 	r.mu.Unlock()
 }
 
@@ -114,6 +102,15 @@ func (db *DB) endTxn(id uint64) {
 func (db *DB) ReclaimTick() int {
 	r := &db.reclaim
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	return db.applyReadyLocked()
+}
+
+// applyReadyLocked applies, in FIFO order, every queued batch that no
+// active transaction predates, and returns how many it applied. The
+// caller holds the reclaimer lock.
+func (db *DB) applyReadyLocked() int {
+	r := &db.reclaim
 	horizon := uint64(math.MaxUint64)
 	for _, tick := range r.active {
 		if tick < horizon {
@@ -127,9 +124,13 @@ func (db *DB) ReclaimTick() int {
 	ready := r.pending[:n:n]
 	r.pending = r.pending[n:]
 	for _, d := range ready {
+		for _, pid := range d.drops {
+			db.pool.Drop(pid)
+		}
+		// Ledger-aware apply: frees of shared extents decrement the
+		// refcount instead of returning the extent to the allocator.
 		db.applyFrees(d.txn, d.specs)
 	}
-	r.mu.Unlock()
 	return n
 }
 

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+
+	"blobdb/internal/buffer"
 )
 
 // TestDeferredFreesBlockOnActiveReader pins the reclaimer's horizon rule:
@@ -87,11 +90,60 @@ func TestDeferredFreesAbortPath(t *testing.T) {
 	}
 }
 
+// TestAbortUnderReaderPin: a writer that aborts while a lock-free reader
+// pins its staged blob releases its own pins at once but leaves the
+// frames to the reclaimer — the abort used to drop them under the
+// reader's pin and panic the pool. The reader keeps its bytes until it
+// ends; then the aborted extents leave the pool and the allocator.
+func TestAbortUnderReaderPin(t *testing.T) {
+	db := openTest(t, testOpts())
+	if _, err := db.CreateRelation("r"); err != nil {
+		t.Fatal(err)
+	}
+	staged := bytes.Repeat([]byte{0xCD}, 3*ps)
+	tx1 := db.Begin(nil)
+	if err := putBlob(tx1, "r", []byte("k"), staged); err != nil {
+		t.Fatal(err)
+	}
+	tx2 := db.Begin(nil)
+	err := tx2.ReadBlob("r", []byte("k"), func(v *buffer.BlobView) error {
+		if err := tx1.Abort(); err != nil {
+			return err
+		}
+		if db.ReclaimPending() == 0 {
+			return errors.New("aborted extents reclaimed while the reader pins them")
+		}
+		if got := v.Materialize(); !bytes.Equal(got, staged) {
+			return errors.New("pinned view changed under the abort")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx2)
+	if n := db.ReclaimPending(); n != 0 {
+		t.Fatalf("reclaim pending = %d after the reader ended, want 0", n)
+	}
+	if n := db.Pool().ResidentPages(); n != 0 {
+		t.Errorf("%d pages of the aborted blob still resident", n)
+	}
+	tx := db.Begin(nil)
+	if _, err := tx.BlobState("r", []byte("k")); !errors.Is(err, ErrNotFound) {
+		t.Errorf("aborted blob lookup = %v, want ErrNotFound", err)
+	}
+	// The freed extents are allocatable again.
+	if err := putBlob(tx, "r", []byte("k"), staged); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+}
+
 // TestConcurrentReadersOverwriteNoTornReads hammers the lock-free read
 // path while a writer replaces the blob — the schedule that used to
-// panic the pool with "Drop of pinned extent" once the submission queue
-// added yield points to the commit path. Every read must observe one
-// complete version, never a mix, and no pinned extent may be dropped.
+// panic the pool with "Drop of pinned extent" once the pipelined commit
+// path added yield points. Every read must observe one complete version,
+// never a mix, and no pinned extent may be dropped.
 func TestConcurrentReadersOverwriteNoTornReads(t *testing.T) {
 	db := openTest(t, testOpts())
 	if _, err := db.CreateRelation("r"); err != nil {

@@ -15,12 +15,12 @@ import (
 
 // TestMixedLoadServedPath runs concurrent aliased readers against
 // overwriting writers on the group-commit engine, once with the
-// inline submission queue and once with the queued one, and checks what
-// the served read/write path relies on: small blobs alias in the
-// worker-local area and large ones reserve the shared area, the queued
-// engine submits its device work through the queue, every deferred extent
-// free is drained once the commits are, and an aliased read streams pool
-// frames without copying the blob.
+// committer waiting for each flush (WithInlineQueue) and once pipelined,
+// and checks what the served read/write path relies on: small blobs alias
+// in the worker-local area and large ones reserve the shared area, the
+// pool's device commands pass the queue-depth gate and all complete,
+// every deferred extent free is drained once the commits are, and an
+// aliased read streams pool frames without copying the blob.
 func TestMixedLoadServedPath(t *testing.T) {
 	const (
 		blobs        = 16 // even keys small, odd keys large
@@ -125,8 +125,8 @@ func TestMixedLoadServedPath(t *testing.T) {
 			if a := db.AliasManager().Stats(); a.LocalUses == 0 || a.SharedUses == 0 {
 				t.Errorf("alias areas not both used: local %d, shared %d", a.LocalUses, a.SharedUses)
 			}
-			if q := db.Queue().Stats(); !inline && q.Submitted == 0 {
-				t.Error("queued engine never used the submission queue")
+			if q := db.Queue().Stats(); q.Submitted == 0 || q.Completed != q.Submitted || q.Inflight != 0 {
+				t.Errorf("queue stats after the drain = %+v: the pool's commands bypassed the gate or never completed", q)
 			}
 
 			// A warm aliased read hands the sink the pool's own frames: the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"blobdb/internal/blob"
 	"blobdb/internal/buffer"
@@ -630,9 +631,21 @@ func (t *Txn) rollback() {
 	}
 	t.db.rebuildIndexTouched(t.undo)
 	t.db.undoShares(t.id, t.sharedIncs)
+	// A lock-free reader that saw the staged tree may still pin the
+	// transaction's own extents, so they leave the pool and return to the
+	// allocator through the reclaimer, like a committed free. A
+	// pre-existing extent that holds uncommitted bytes is dropped now,
+	// before a later writer can fix it.
+	var frees []blob.FreeSpec
 	for _, p := range t.pendings {
-		p.Discard(p.News)
+		for _, pid := range p.Unpin() {
+			if !slices.ContainsFunc(p.News, func(s blob.FreeSpec) bool { return s.PID == pid }) {
+				t.db.pool.Drop(pid)
+			}
+		}
+		frees = append(frees, p.News...)
 	}
+	t.db.deferFrees(t.id, nil, frees)
 	t.releaseLocks()
 	t.db.endTxn(t.id)
 }

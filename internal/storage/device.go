@@ -120,9 +120,11 @@ func (s *Stats) Reset() {
 
 // Device is a page-granular block device.
 //
-// ReadPages and WritePages transfer n pages starting at pid. They charge
-// the device cost model to the supplied meter (which may be nil) and update
-// the device Stats. Implementations are safe for concurrent use.
+// ReadPages and WritePages transfer n pages starting at pid;
+// ReadPagesVec and WritePagesVec transfer a list of segments as one
+// submission. They charge the device cost model to the supplied meter
+// (which may be nil) and update the device Stats. Every command runs on
+// the caller's goroutine. Implementations are safe for concurrent use.
 type Device interface {
 	// PageSize returns the page size in bytes.
 	PageSize() int
@@ -133,6 +135,14 @@ type Device interface {
 	ReadPages(m *simtime.Meter, pid PID, n int, buf []byte) error
 	// WritePages writes n pages starting at pid from buf.
 	WritePages(m *simtime.Meter, pid PID, n int, buf []byte) error
+	// ReadPagesVec reads every segment as one vectored submission
+	// (preadv/io_uring-style): the batch pays one command latency plus the
+	// bandwidth of all its bytes and counts once in Stats.VecReads, while
+	// ReadOps still counts one op per segment. Each Buf is at least
+	// N*PageSize() bytes.
+	ReadPagesVec(m *simtime.Meter, segs []Seg) error
+	// WritePagesVec is the write counterpart of ReadPagesVec.
+	WritePagesVec(m *simtime.Meter, segs []Seg) error
 	// Sync flushes the device write cache.
 	Sync(m *simtime.Meter) error
 	// Stats exposes traffic counters.
@@ -227,9 +237,7 @@ func (d *MemDevice) Sync(m *simtime.Meter) error {
 	return nil
 }
 
-// ReadPagesVec implements BatchReader: all segments are transferred under
-// one submission, so the batch pays one command latency plus the bandwidth
-// of every byte. Per-segment commands still count as read ops.
+// ReadPagesVec implements Device.
 func (d *MemDevice) ReadPagesVec(m *simtime.Meter, segs []Seg) error {
 	for _, s := range segs {
 		if err := d.checkRange(s.PID, s.N); err != nil {
@@ -255,7 +263,7 @@ func (d *MemDevice) ReadPagesVec(m *simtime.Meter, segs []Seg) error {
 	return nil
 }
 
-// WritePagesVec implements BatchWriter.
+// WritePagesVec implements Device.
 func (d *MemDevice) WritePagesVec(m *simtime.Meter, segs []Seg) error {
 	for _, s := range segs {
 		if err := d.checkRange(s.PID, s.N); err != nil {
@@ -391,8 +399,7 @@ func (d *FileDevice) Sync(m *simtime.Meter) error {
 	return nil
 }
 
-// ReadPagesVec implements BatchReader (preadv-style: one submission, many
-// segments).
+// ReadPagesVec implements Device.
 func (d *FileDevice) ReadPagesVec(m *simtime.Meter, segs []Seg) error {
 	total := 0
 	for _, s := range segs {
@@ -415,7 +422,7 @@ func (d *FileDevice) ReadPagesVec(m *simtime.Meter, segs []Seg) error {
 	return nil
 }
 
-// WritePagesVec implements BatchWriter.
+// WritePagesVec implements Device.
 func (d *FileDevice) WritePagesVec(m *simtime.Meter, segs []Seg) error {
 	total := 0
 	for _, s := range segs {

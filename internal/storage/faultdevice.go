@@ -322,7 +322,7 @@ func (d *FaultDevice) applyRot(pid PID, n int, buf []byte) {
 	}
 }
 
-// ReadPagesVec implements BatchReader.
+// ReadPagesVec implements Device.
 func (d *FaultDevice) ReadPagesVec(m *simtime.Meter, segs []Seg) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -353,7 +353,7 @@ func (d *FaultDevice) WritePages(m *simtime.Meter, pid PID, n int, buf []byte) e
 	return d.writeVecLocked(m, []Seg{{PID: pid, N: n, Buf: buf[:nbytes]}}, false)
 }
 
-// WritePagesVec implements BatchWriter: the whole batch is one mutating op,
+// WritePagesVec implements Device: the whole batch is one mutating op,
 // and a crash armed on it lands only the first k segments (plus a sector
 // prefix of segment k+1).
 func (d *FaultDevice) WritePagesVec(m *simtime.Meter, segs []Seg) error {

@@ -14,28 +14,6 @@ type Seg struct {
 	Buf []byte // at least N*PageSize bytes
 }
 
-// BatchReader is implemented by devices that accept a whole vectored read
-// as one submission (io_uring/preadv-style): one command latency for the
-// batch, one entry on the device's submission counter.
-type BatchReader interface {
-	ReadPagesVec(m *simtime.Meter, segs []Seg) error
-}
-
-// BatchWriter is the write-side counterpart of BatchReader.
-type BatchWriter interface {
-	WritePagesVec(m *simtime.Meter, segs []Seg) error
-}
-
-// costModeler is implemented by devices that expose their cost model so
-// vectored helpers can charge overlapped (queued) timing instead of summing
-// per-command latencies.
-type costModeler interface {
-	costModel() *simtime.DeviceCostModel
-}
-
-func (d *MemDevice) costModel() *simtime.DeviceCostModel  { return d.cost }
-func (d *FileDevice) costModel() *simtime.DeviceCostModel { return d.cost }
-
 // vecCost computes the virtual time of a batch of segments submitted to the
 // device queue at once: commands overlap, so the batch pays one command
 // latency (the deepest-queued command hides the others) plus the bandwidth
@@ -69,47 +47,24 @@ func trimSegs(d Device, segs []Seg) ([]Seg, error) {
 	return trimmed, nil
 }
 
-// ReadVec reads all segments as one asynchronous batch (io_uring-style):
-// the segments' transfer costs add, but the per-command latencies overlap.
-// This is the §III-D BLOB read path — one submission for all extents.
+// ReadVec reads all segments with one ReadPagesVec submission, each buffer
+// trimmed to its segment. This is the §III-D BLOB read path — one
+// submission for all extents.
 func ReadVec(d Device, m *simtime.Meter, segs []Seg) error {
 	trimmed, err := trimSegs(d, segs)
 	if err != nil {
 		return err
 	}
-	if br, ok := d.(BatchReader); ok {
-		return br.ReadPagesVec(m, trimmed)
-	}
-	for _, s := range trimmed {
-		// Charge nothing per command; the batch cost is charged below.
-		if err := d.ReadPages(nil, s.PID, s.N, s.Buf); err != nil {
-			return err
-		}
-	}
-	if cm, ok := d.(costModeler); ok {
-		m.Charge(vecCost(cm.costModel(), trimmed, false))
-	}
-	return nil
+	return d.ReadPagesVec(m, trimmed)
 }
 
-// WriteVec writes all segments as one asynchronous batch. This is the
-// commit-time extent flush of §III-C: multiple async writes submitted
+// WriteVec writes all segments with one WritePagesVec submission. This is
+// the commit-time extent flush of §III-C: the extents' writes submitted
 // together after the WAL record is durable.
 func WriteVec(d Device, m *simtime.Meter, segs []Seg) error {
 	trimmed, err := trimSegs(d, segs)
 	if err != nil {
 		return err
 	}
-	if bw, ok := d.(BatchWriter); ok {
-		return bw.WritePagesVec(m, trimmed)
-	}
-	for _, s := range trimmed {
-		if err := d.WritePages(nil, s.PID, s.N, s.Buf); err != nil {
-			return err
-		}
-	}
-	if cm, ok := d.(costModeler); ok {
-		m.Charge(vecCost(cm.costModel(), trimmed, true))
-	}
-	return nil
+	return d.WritePagesVec(m, trimmed)
 }
