@@ -3,7 +3,9 @@ package crashsim
 import (
 	"flag"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"blobdb/internal/storage"
 )
@@ -11,47 +13,66 @@ import (
 // Replay flags: every crashsim failure prints a one-line invocation using
 // these, so any schedule reproduces deterministically.
 var (
-	flagSeed      = flag.Int64("seed", 1, "master seed for schedule exploration")
-	flagTraceSeed = flag.Int64("trace-seed", 0, "replay: trace seed of the schedule")
-	flagCrashOp   = flag.Int("crashpoint", -2, "replay: mutating-op index to crash at (-1: end of trace)")
-	flagTear      = flag.String("tear", "scramble", "replay: tear mode (ordered|scramble)")
-	flagSmall     = flag.Bool("smallpool", false, "replay: shrink the buffer pool")
-	flagDedup     = flag.Bool("dedup", false, "replay: use the dedup/relocation-heavy trace generator")
+	flagSeed       = flag.Int64("seed", 1, "master seed for schedule exploration")
+	flagTraceSeed  = flag.Int64("trace-seed", 0, "replay: trace seed of the schedule")
+	flagCrashOp    = flag.Int("crashpoint", -2, "replay: mutating-op index to crash at (-1: end of trace)")
+	flagTear       = flag.String("tear", "scramble", "replay: tear mode (ordered|scramble)")
+	flagSmall      = flag.Bool("smallpool", false, "replay: shrink the buffer pool")
+	flagDedup      = flag.Bool("dedup", false, "replay: use the dedup/relocation-heavy trace generator")
+	flagShards     = flag.Int("topo-shards", 0, "replay: ring members at trace start (0: the replay test's default)")
+	flagCrashShard = flag.Int("topo-crash-shard", 0, "replay: shard whose device the crash point arms")
+	flagRebalance  = flag.Bool("topo-rebalance", false, "replay: reshard into a new shard after the trace")
+	flagPullEvery  = flag.Int("pull-every", 0, "replay: replica pull cadence in commit batches (0: the replay test's default)")
 )
 
-func reportFailures(t *testing.T, stats ExploreStats, failures []Failure) {
+// sweep explores cfg, reports every failing schedule with its replay
+// line, requires at least min schedules, and requires the sweep to leave
+// no goroutine behind: every engine it opened — crashed, surviving,
+// reshard destination, recovered, promoted — must end up quiesced.
+func sweep(t *testing.T, cfg Config, min int) Stats {
 	t.Helper()
-	t.Logf("explored %d schedules across %d traces (seed %d)", stats.Schedules, stats.Traces, *flagSeed)
+	start := runtime.NumGoroutine()
+	cfg.Logf = t.Logf
+	stats, failures := Explore(cfg)
+	t.Logf("explored %d schedules across %d traces (seed %d): %d survivor ops, %d shed ops, %d batches verified at/below horizon, %d schedules with a stale tail",
+		stats.Schedules, stats.Traces, cfg.Seed, stats.SurvivorOps, stats.ShedOps, stats.Replicated, stats.StaleTail)
 	for _, f := range failures {
 		t.Errorf("schedule failed:\n%v", f)
 	}
 	if stats.Failures > len(failures) {
 		t.Errorf("...and %d more failures (raise the cap or replay individually)", stats.Failures-len(failures))
 	}
-}
-
-// TestCrashSchedulesShort samples the (trace, crash point) space under
-// both tear modes — the bounded
-// budget run CI executes on every PR. On failure, each offending schedule
-// prints its replay invocation.
-func TestCrashSchedulesShort(t *testing.T) {
-	cfg := DefaultConfig(*flagSeed)
-	if testing.Short() {
-		// Keep the -race -short sweep under a few seconds; the dedicated
-		// crashsim job and the nightly run use bigger budgets.
-		cfg.Traces = 3
-		cfg.Points = 30
-	}
-	cfg.Logf = t.Logf
-	stats, failures := Explore(cfg)
-	reportFailures(t, stats, failures)
-	min := 100
-	if !testing.Short() {
-		min = 500
-	}
 	if stats.Schedules < min {
 		t.Errorf("explored only %d schedules, want >= %d", stats.Schedules, min)
 	}
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200 && n > start; i++ {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > start {
+		buf := make([]byte, 1<<20)
+		t.Errorf("sweep leaked %d goroutines (%d before, %d after settling):\n%s", n-start, start, n, buf[:runtime.Stack(buf, true)])
+	}
+	return stats
+}
+
+// shortOr picks the -short budget or the full one.
+func shortOr(short, full int) int {
+	if testing.Short() {
+		return short
+	}
+	return full
+}
+
+// TestCrashSchedulesShort samples the base world's (trace, crash point)
+// space under both tear modes — the bounded budget CI runs on every
+// change. Under -short (the -race sweep) it keeps to a few seconds; the
+// dedicated crashsim job and the nightly run use bigger budgets.
+func TestCrashSchedulesShort(t *testing.T) {
+	cfg := DefaultConfig(*flagSeed)
+	cfg.Traces, cfg.Points = shortOr(3, cfg.Traces), shortOr(30, cfg.Points)
+	sweep(t, cfg, shortOr(100, 500))
 }
 
 // TestCrashSchedulesDedup sweeps the dedup/relocation trace families:
@@ -62,32 +83,19 @@ func TestCrashSchedulesShort(t *testing.T) {
 // the reference model, the unique-extent allocator accounting, and the
 // ledger-vs-recount cross-check.
 func TestCrashSchedulesDedup(t *testing.T) {
-	cfg := DefaultDedupConfig(*flagSeed + 3)
-	if testing.Short() {
-		cfg.Traces = 3
-		cfg.Points = 30
-	}
-	cfg.Logf = t.Logf
-	stats, failures := Explore(cfg)
-	reportFailures(t, stats, failures)
-	min := 100
-	if !testing.Short() {
-		min = 500
-	}
-	if stats.Schedules < min {
-		t.Errorf("explored only %d dedup schedules, want >= %d", stats.Schedules, min)
-	}
+	cfg := DefaultConfig(*flagSeed + 3)
+	cfg.Dedup = true
+	cfg.Traces, cfg.Points = shortOr(3, cfg.Traces), shortOr(30, cfg.Points)
+	sweep(t, cfg, shortOr(100, 500))
 }
 
 // TestCrashSchedulesDedupSync sweeps a second seed of the dedup families
 // with a smaller budget.
 func TestCrashSchedulesDedupSync(t *testing.T) {
-	cfg := DefaultDedupConfig(*flagSeed + 4)
-	cfg.Traces = 2
-	cfg.Points = 15
-	cfg.Logf = t.Logf
-	stats, failures := Explore(cfg)
-	reportFailures(t, stats, failures)
+	cfg := DefaultConfig(*flagSeed + 4)
+	cfg.Dedup = true
+	cfg.Traces, cfg.Points = 2, 15
+	sweep(t, cfg, 0)
 }
 
 // TestCrashSchedulesSmallPool runs a smaller sweep with a pool sized to
@@ -95,41 +103,121 @@ func TestCrashSchedulesDedupSync(t *testing.T) {
 // seed with the normal pool.
 func TestCrashSchedulesSmallPool(t *testing.T) {
 	cfg := DefaultConfig(*flagSeed + 1)
-	cfg.Traces = 2
-	cfg.Points = 15
-	cfg.SmallPool = true
-	cfg.Logf = t.Logf
-	stats, failures := Explore(cfg)
-	reportFailures(t, stats, failures)
+	cfg.Traces, cfg.Points, cfg.SmallPool = 2, 15, true
+	sweep(t, cfg, 0)
 
 	cfg = DefaultConfig(*flagSeed + 2)
-	cfg.Traces = 2
-	cfg.Points = 10
-	cfg.Logf = t.Logf
-	stats, failures = Explore(cfg)
-	reportFailures(t, stats, failures)
+	cfg.Traces, cfg.Points = 2, 10
+	sweep(t, cfg, 0)
 }
 
-// TestReplaySchedule re-runs one schedule identified by -trace-seed and
-// -crashpoint (printed by every exploration failure). It is skipped unless
-// those flags are set.
-func TestReplaySchedule(t *testing.T) {
+// TestTopologySchedulesShort samples the topology families: 3-shard
+// clusters, one shard's device crashed at sampled points during steady
+// serving and inside a live reshard, both tear modes. Besides survivor
+// isolation, crashed-shard recovery and reshard no-lost-blob, it asserts
+// that the sweep exercised the isolation paths at all.
+func TestTopologySchedulesShort(t *testing.T) {
+	cfg := DefaultTopoConfig(*flagSeed)
+	cfg.Traces, cfg.Points = shortOr(1, cfg.Traces), shortOr(2, cfg.Points)
+	stats := sweep(t, cfg, shortOr(12, 40))
+	// A sweep that never drove an op through a survivor (or never hit the
+	// crashed shard's fast-fail path) proves nothing about isolation.
+	if stats.SurvivorOps == 0 {
+		t.Error("no post-crash ops served by surviving shards — isolation was never exercised")
+	}
+	if stats.ShedOps == 0 {
+		t.Error("no ops fast-rejected for the crashed shard — ErrShardDown path was never exercised")
+	}
+}
+
+// TestFailoverSchedulesShort samples the failover family: a replica
+// tails a fault-armed primary, the primary crashes at sampled points
+// under both tear modes, the replica is promoted, and every promoted
+// image must hold — byte-identical — every acknowledged commit at or
+// below the client-observed replicated LSN horizon. It also asserts the
+// sweep exercised both sides of the contract: batches exactly verified
+// below the horizon, and schedules where the crash cut off an
+// unreplicated tail.
+func TestFailoverSchedulesShort(t *testing.T) {
+	cfg := DefaultFailoverConfig(*flagSeed)
+	cfg.Traces, cfg.Points = shortOr(2, cfg.Traces), shortOr(5, cfg.Points)
+	stats := sweep(t, cfg, shortOr(15, 40))
+	if stats.Replicated == 0 {
+		t.Error("no batch was ever verified at or below the horizon — replication was never exercised")
+	}
+	if stats.StaleTail == 0 {
+		t.Error("no schedule lost an unreplicated tail — the crash never outran the replica, so the horizon bound was never tested")
+	}
+}
+
+// TestComposedSchedulesShort composes two families at no harness cost:
+// the dedup traces (dup-put, dup-put-abort, relocate) routed over 3
+// shards, crashed in steady serving and inside a live reshard. Relocation
+// rounds run on every live shard; the reshard streams shared sequences
+// to the destination.
+func TestComposedSchedulesShort(t *testing.T) {
+	cfg := DefaultTopoConfig(*flagSeed + 5)
+	cfg.Dedup = true
+	cfg.Traces, cfg.Points = 1, shortOr(2, cfg.Points)
+	stats := sweep(t, cfg, shortOr(12, 24))
+	if stats.SurvivorOps == 0 || stats.ShedOps == 0 {
+		t.Errorf("isolation paths not exercised: %d survivor ops, %d shed ops", stats.SurvivorOps, stats.ShedOps)
+	}
+}
+
+// replay re-runs one schedule identified by the flags every Failure
+// prints; shards and pullEvery are the defaults when -topo-shards and
+// -pull-every are unset. It is skipped unless -trace-seed or -crashpoint
+// is set.
+func replay(t *testing.T, shards, pullEvery int) {
 	if *flagCrashOp == -2 && *flagTraceSeed == 0 {
-		t.Skip("pass -trace-seed and -crashpoint to replay a schedule")
+		t.Skip("pass -trace-seed and -crashpoint (plus the printed -smallpool/-dedup/-topo-*/-pull-every flags) to replay a schedule")
 	}
 	mode, err := storage.ParseTearMode(*flagTear)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(*flagSeed)
-	cfg.SmallPool = *flagSmall
-	cfg.Dedup = *flagDedup
-	s := Schedule{TraceSeed: *flagTraceSeed, CrashOp: *flagCrashOp, Mode: mode}
+	cfg.SmallPool, cfg.Dedup, cfg.Shards = *flagSmall, *flagDedup, shards
+	if *flagShards > 0 {
+		cfg.Shards = *flagShards
+	}
+	if *flagPullEvery > 0 {
+		pullEvery = *flagPullEvery
+	}
+	s := Schedule{TraceSeed: *flagTraceSeed, CrashShard: *flagCrashShard, CrashOp: *flagCrashOp,
+		Mode: mode, Rebalance: *flagRebalance, PullEvery: pullEvery}
 	res, err := cfg.RunSchedule(s, nil)
 	if err != nil {
 		t.Fatalf("schedule %v failed: %v", s, err)
 	}
-	t.Logf("schedule %v passed (%d device ops, recovery report %+v)", s, res.Ops, res.Report)
+	t.Logf("schedule %v passed (device ops %v, served %d, shed %d, horizon %d, %d/%d batches replicated, recovery report %+v)",
+		s, res.Ops, res.Served, res.Shed, res.Horizon, res.Replicated, res.Acked, res.Report)
+}
+
+// TestReplaySchedule replays a schedule of any family.
+func TestReplaySchedule(t *testing.T) { replay(t, 1, 0) }
+
+// TestReplayTopoSchedule replays a schedule on a 3-shard cluster unless
+// -topo-shards says otherwise.
+func TestReplayTopoSchedule(t *testing.T) { replay(t, 3, 0) }
+
+// TestReplayFailoverSchedule replays a failover schedule, pulling after
+// every batch unless -pull-every says otherwise.
+func TestReplayFailoverSchedule(t *testing.T) { replay(t, 1, 1) }
+
+// recordPins fixes the record pass (no mid-trace crash) of each trace the
+// regression schedules below use: its mutating-op count and final op
+// hash. Those crash points are only meaningful while the I/O schedule
+// stays the one they were found on.
+var recordPins = []struct {
+	seed  int64
+	dedup bool
+	ops   int
+	hash  uint64
+}{
+	{7338701143958340983, false, 120, 0x82260062b76262bd},
+	{8940310146990858404, true, 110, 0xf9e5bfef96b6c6e6},
 }
 
 // regressionSchedules pins crash points that surfaced real recovery bugs.
@@ -169,8 +257,25 @@ var regressionSchedules = []struct {
 }
 
 func TestRegressionSchedules(t *testing.T) {
+	for _, p := range recordPins {
+		t.Run(fmt.Sprintf("record-pass trace-seed=%d dedup=%v", p.seed, p.dedup), func(t *testing.T) {
+			cfg := DefaultConfig(1)
+			cfg.Dedup = p.dedup
+			res, err := cfg.RunSchedule(Schedule{TraceSeed: p.seed, CrashOp: -1, Mode: storage.TearOrdered}, nil)
+			if err != nil {
+				t.Fatalf("record pass failed: %v", err)
+			}
+			ops, hash := res.Ops[0], res.OpHashes[0][res.Ops[0]]
+			if ops != p.ops || hash != p.hash {
+				t.Fatalf("record pass drifted to %d ops, final op hash %#x (pinned %d ops, %#x): the I/O schedule changed, "+
+					"so the crash points in regressionSchedules may no longer land on the writes their comments name. "+
+					"Re-derive each point from the new record pass (for the checkpoint pins, the op indices of the checkpoint image writes), "+
+					"re-check that each still reproduces its bug on a copy with the fix reverted, then update the points, their comments and this pin",
+					ops, hash, p.ops, p.hash)
+			}
+		})
+	}
 	for _, rs := range regressionSchedules {
-		rs := rs
 		t.Run(fmt.Sprintf("%v dedup=%v", rs.s, rs.dedup), func(t *testing.T) {
 			cfg := DefaultConfig(1)
 			cfg.Dedup = rs.dedup
