@@ -16,7 +16,7 @@ import (
 
 const recoveryDevPages = 1 << 14 // 64 MB file-backed device
 
-func openRecoveryDB(t *testing.T, path string) (*core.DB, *core.RecoveryReport) {
+func openRecoveryDB(t *testing.T, path string) (*core.DB, *core.RecoveryReport, *storage.FileDevice) {
 	t.Helper()
 	dev, err := storage.OpenFileDevice(path, storage.DefaultPageSize, recoveryDevPages, nil)
 	if err != nil {
@@ -31,7 +31,7 @@ func openRecoveryDB(t *testing.T, path string) (*core.DB, *core.RecoveryReport) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db, rep
+	return db, rep, dev
 }
 
 // TestCommittedPutsSurviveCrashRestart is the §III-C recovery invariant on
@@ -45,7 +45,7 @@ func TestCommittedPutsSurviveCrashRestart(t *testing.T) {
 
 	want := map[string][]byte{}
 	{
-		db, _ := openRecoveryDB(t, path)
+		db, _, dev := openRecoveryDB(t, path)
 		ts := httptest.NewServer(New(Config{DB: db}))
 		c := blobclient.New(ts.URL, blobclient.WithHTTPClient(ts.Client()))
 		if err := c.CreateRelation(ctx, "images"); err != nil {
@@ -67,11 +67,13 @@ func TestCommittedPutsSurviveCrashRestart(t *testing.T) {
 		delete(want, "xray-0.png")
 		// CRASH: stop serving and abandon the engine without draining,
 		// checkpointing, or closing anything. Acknowledged commits are on
-		// the device; in-memory state dies here.
+		// the device; in-memory state dies here. Closing the file stands
+		// in for the process exit, which releases the image's lock.
 		ts.Close()
+		dev.Close()
 	}
 
-	db2, rep := openRecoveryDB(t, path)
+	db2, rep, _ := openRecoveryDB(t, path)
 	if rep.CommittedTxns < 7 { // 6 puts + 1 delete
 		t.Errorf("recovered %d committed txns, want >= 7", rep.CommittedTxns)
 	}

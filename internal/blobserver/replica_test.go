@@ -3,10 +3,13 @@ package blobserver
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"blobdb/internal/blobserver/blobclient"
@@ -229,5 +232,75 @@ func TestReplicaPromotion(t *testing.T) {
 	}
 	if !rep.Promoted() {
 		t.Fatal("Promoted() = false after promote")
+	}
+}
+
+// TestReplBlobCutShortInstallsNothing: the /repl/v1/blob body declares
+// its length, so a body an intermediary cuts short fails the replica's
+// apply — no row, no leaked extent, no advance of the applied LSN — and a
+// whole body on the next Sync installs the blob.
+func TestReplBlobCutShortInstallsNothing(t *testing.T) {
+	_, psrv, _, pc := newTestServer(t, Config{})
+	var whole atomic.Bool
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if whole.Load() || !strings.HasPrefix(r.URL.Path, "/repl/v1/blob/") {
+			psrv.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		psrv.ServeHTTP(rec, r)
+		if rec.Header().Get("Content-Length") != strconv.Itoa(rec.Body.Len()) {
+			t.Errorf("blob response Content-Length %q for a %d-byte body", rec.Header().Get("Content-Length"), rec.Body.Len())
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes()[:rec.Body.Len()/2])
+		panic(http.ErrAbortHandler) // drop the connection mid-body
+	}))
+	t.Cleanup(proxy.Close)
+
+	rdb, err := core.New(storage.NewMemDevice(storage.DefaultPageSize, 1<<14, nil),
+		core.WithPoolPages(1<<12), core.WithLogPages(1<<10), core.WithCkptPages(1<<11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rdb.CloseCommitter() })
+	rep := repl.NewReplica(rdb, repl.NewHTTPSource(proxy.URL, proxy.Client()))
+
+	ctx := context.Background()
+	if err := pc.CreateRelation(ctx, "r"); err != nil {
+		t.Fatal(err)
+	}
+	content := bytes.Repeat([]byte("cut me short "), 20<<10)
+	if _, err := pc.Put(ctx, "r", "k", content); err != nil {
+		t.Fatal(err)
+	}
+	live := rdb.Allocator().Stats().LivePages
+	if _, err := rep.Sync(ctx); err == nil {
+		t.Fatal("Sync over a cut-short blob body succeeded")
+	}
+	if rep.AppliedLSN() != 0 {
+		t.Errorf("applied LSN advanced to %d over a failed apply", rep.AppliedLSN())
+	}
+	if got := rdb.Allocator().Stats().LivePages; got != live {
+		t.Errorf("replica live pages %d -> %d: the cut-short stream leaked extents", live, got)
+	}
+	tx := rdb.Begin(nil)
+	_, err = tx.BlobState("r", []byte("k"))
+	tx.Commit()
+	if !errors.Is(err, core.ErrNotFound) && !errors.Is(err, core.ErrRelationNotFound) {
+		t.Fatalf("cut-short blob installed a row (err %v)", err)
+	}
+
+	whole.Store(true)
+	if _, err := rep.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	tx = rdb.Begin(nil)
+	defer tx.Commit()
+	if got, err := tx.ReadBlobBytes("r", []byte("k")); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("whole body after the cut: %d bytes, %v", len(got), err)
 	}
 }

@@ -9,7 +9,7 @@ package blobserver
 //	GET /repl/v1/status?shard=i            durable / truncated / last LSNs (JSON)
 //	GET /repl/v1/pull?after=N&shard=i      durable records above N (JSON repl.Pull)
 //	GET /repl/v1/snapshot?shard=i          full logical image (JSON repl.Snapshot)
-//	GET /repl/v1/blob/{rel}/{key}          current committed BLOB content + ETag
+//	GET /repl/v1/blob/{rel}/{key}          current committed BLOB content + ETag (410: none)
 //
 // Replica mode (Config.Replica set, until promotion):
 //
@@ -148,12 +148,12 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "malformed after", http.StatusBadRequest)
 		return
 	}
-	recs, durable, resync, err := db.WAL().ReadFrom(nil, after)
+	p, err := repl.NewEngineSource(db).Pull(r.Context(), after)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, repl.Pull{Records: recs, Durable: durable, Resync: resync})
+	writeJSON(w, http.StatusOK, p)
 }
 
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -174,17 +174,21 @@ func (s *Server) handleReplBlob(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	// The body streams from the primary's pinned view with its length
+	// declared, so the replica can tell a cut-short body from a whole one.
 	rel, key := r.PathValue("rel"), r.PathValue("key")
-	etag, rc, err := repl.NewEngineSource(db).FetchBlob(r.Context(), rel, []byte(key))
-	if errors.Is(err, core.ErrBlobVanished) {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	if err != nil {
+	sent := false
+	err := repl.NewEngineSource(db).FetchBlob(r.Context(), rel, []byte(key), func(etag string, size uint64, body io.Reader) error {
+		sent = true
+		w.Header().Set("ETag", `"`+etag+`"`)
+		w.Header().Set("Content-Length", strconv.FormatUint(size, 10))
+		_, err := io.Copy(w, body)
+		return err
+	})
+	switch {
+	case errors.Is(err, core.ErrBlobVanished):
+		http.Error(w, err.Error(), http.StatusGone)
+	case err != nil && !sent:
 		httpError(w, err)
-		return
 	}
-	defer rc.Close()
-	w.Header().Set("ETag", `"`+etag+`"`)
-	io.Copy(w, rc)
 }

@@ -338,7 +338,7 @@ func (s *Server) handleGetBlob(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	err = tx.ReadBlob(rel, []byte(key), func(view *buffer.BlobView) error {
+	err = tx.ReadState(st, func(view *buffer.BlobView) error {
 		// Zero-copy read path (§IV-B): the BlobView gathers the pinned
 		// extent frames — worker-local aliasing area when the blob fits,
 		// shared-area reservation otherwise — and the (range-trimmed)

@@ -76,12 +76,14 @@ type DB struct {
 	mu   sync.RWMutex // guards rels
 	rels map[string]*Relation
 
-	locks   lockTable
-	reclaim reclaimer
-	dedup   dedup
-	nextTxn atomic.Uint64
-	commit  *committer        // the group committer (commit.go)
-	queue   *storage.SubQueue // depth gate on the buffer pool's device commands
+	locks     lockTable
+	reclaim   reclaimer
+	dedup     dedup
+	xfers     [TransferCopied + 1]atomic.Uint64 // Install outcomes, indexed by Transfer
+	xferBytes atomic.Uint64                     // bytes Install read from sources
+	nextTxn   atomic.Uint64
+	commit    *committer        // the group committer (commit.go)
+	queue     *storage.SubQueue // depth gate on the buffer pool's device commands
 
 	// ckptMu serializes checkpoints against commits so a checkpoint image
 	// never captures a commit's tree change without its extent flush.

@@ -212,8 +212,6 @@ func cmpLen(a, b uint64) int {
 	}
 }
 
-func hashOf(b []byte) [32]byte { return sha256x.Sum(b) }
-
 // LookupExact returns the primary keys of BLOBs whose content equals query
 // (point query via SHA-256, §III-F).
 func (ci *ContentIndex) LookupExact(query []byte) ([][]byte, error) {
@@ -389,24 +387,8 @@ func (si *SemanticIndex) Len() int {
 
 // ---- index maintenance hooks called by the transaction layer ----
 
-func (t *Txn) updateIndexesOnPut(r *Relation, key []byte, st *blob.State, content []byte) {
-	r.mu.RLock()
-	ci := r.contentIdx
-	sem := make([]*SemanticIndex, 0, len(r.semanticIdx))
-	for _, s := range r.semanticIdx {
-		sem = append(sem, s)
-	}
-	r.mu.RUnlock()
-	if ci != nil {
-		ci.put(key, st)
-	}
-	for _, s := range sem {
-		s.insert(s.fn(content), key)
-	}
-}
-
-// updateIndexesOnPutState is used when the caller has no content slice
-// (grow/update); semantic indexes reread the BLOB.
+// updateIndexesOnPutState indexes a staged Blob State; semantic indexes
+// reread the BLOB.
 func (t *Txn) updateIndexesOnPutState(r *Relation, key []byte, st *blob.State) {
 	r.mu.RLock()
 	ci := r.contentIdx

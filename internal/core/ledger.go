@@ -27,9 +27,11 @@ import (
 // checkpoint path, which runs under the WAL manager's lock and snapshots
 // the ledger):
 //
-//   - Share (increment): at PUT-seal time. The sealing transaction logs a
-//     RecRefDelta batch under its own txn id, so recovery counts the
-//     increments exactly when it replays the transaction.
+//   - Share (increment): at PUT-seal time, or when a transfer adopts
+//     content the engine already holds (Install, transfer.go). The
+//     sharing transaction logs a RecRefDelta batch under its own txn id,
+//     so recovery counts the increments exactly when it replays the
+//     transaction.
 //   - Release (decrement): at deferred-free APPLY time, not at stage
 //     time. Every free a transaction stages flows to the epoch reclaimer
 //     unfiltered; when the reclaimer applies a batch, frees whose extent
@@ -133,19 +135,38 @@ func statePIDs(st *blob.State) []storage.PID {
 // tryDedup runs at PUT-seal time (OnSeal, create mode, before the old
 // blob at the key is scheduled for freeing): if a committed blob with the
 // same content exists, the freshly written extents are discarded and the
-// transaction adopts the existing extent sequence, incrementing its
-// refcounts. Returns the shared state, or nil when no candidate matches
-// (or logging the increments failed, in which case the private copy is
-// kept — dedup is an optimization, never a correctness dependency).
+// transaction adopts the existing extent sequence through share. Returns
+// the shared state, or nil when no candidate matches (or logging the
+// increments failed, in which case the private copy is kept — dedup is an
+// optimization, never a correctness dependency).
 func (t *Txn) tryDedup(st *blob.State, p *blob.Pending) *blob.State {
 	if !shareable(st) {
 		return nil
 	}
+	shared := t.share(stateKey(st), st)
+	if shared == nil {
+		return nil
+	}
+	// The private extents this writer just allocated are returned to the
+	// allocator (their flushed bytes are the cost of
+	// hashing-before-knowing, §III-C stream mode).
+	p.Discard(p.News)
+	p.News = nil
+	// The adopted state describes identical content, so the hash,
+	// intermediate state, and prefix carry over from the fresh write.
+	shared.Intermediate = st.Intermediate
+	return shared
+}
+
+// share adopts the committed extent sequence the content index holds for
+// ck — for a dedup PUT and a transfer alike — incrementing and logging
+// each extent's refcount. A candidate with fresh's very sequence is no
+// share. Returns the adopted state, or nil on a miss or a failed append.
+func (t *Txn) share(ck contentKey, fresh *blob.State) *blob.State {
 	d := &t.db.dedup
-	ck := stateKey(st)
 	d.mu.Lock()
 	cand := d.index[ck]
-	if cand == nil || sameSequence(cand, st) {
+	if cand == nil || (fresh != nil && sameSequence(cand, fresh)) {
 		d.mu.Unlock()
 		return nil
 	}
@@ -163,11 +184,11 @@ func (t *Txn) tryDedup(st *blob.State, p *blob.Pending) *blob.State {
 	seq := d.seq
 	d.hits++
 	d.incs += uint64(len(entries))
-	d.sharedBytes += st.Size
+	d.sharedBytes += ck.size
 	shared := cand.Clone()
 	d.mu.Unlock()
 
-	// Log the increments under the sealing transaction's id — outside the
+	// Log the increments under the sharing transaction's id — outside the
 	// ledger mutex (the append can flush, and a flush can checkpoint,
 	// which snapshots the ledger). The seq fence keeps replay exact.
 	if _, err := t.log().AppendLSN(t.meter, t.id, wal.RecRefDelta, encodeRefDelta(seq, entries)); err != nil {
@@ -175,15 +196,6 @@ func (t *Txn) tryDedup(st *blob.State, p *blob.Pending) *blob.State {
 		return nil
 	}
 	t.sharedIncs = append(t.sharedIncs, specs...)
-
-	// Adopt the shared sequence: the private extents this writer just
-	// allocated are returned to the allocator (their flushed bytes are the
-	// cost of hashing-before-knowing, §III-C stream mode).
-	p.Discard(p.News)
-	p.News = nil
-	// The adopted state describes identical content, so the hash,
-	// intermediate state, and prefix carry over from the fresh write.
-	shared.Intermediate = st.Intermediate
 	return shared
 }
 
@@ -470,7 +482,7 @@ func (db *DB) CheckLedger() error {
 type DedupStats struct {
 	IndexEntries  int    // content-index entries (distinct committed contents)
 	SharedExtents int    // extents with refcount >= 2
-	Hits          uint64 // PUTs deduplicated against an existing blob
+	Hits          uint64 // PUTs and transfer adopts that shared an existing blob
 	SharedBytes   uint64 // logical bytes served by sharing instead of new extents
 	Increments    uint64 // refcount increments (shares)
 	Decrements    uint64 // refcount decrements (deferred releases intercepted)

@@ -6,7 +6,6 @@ import (
 
 	"blobdb/internal/blob"
 	"blobdb/internal/storage"
-	"blobdb/internal/wal"
 )
 
 // Online extent relocation — the engine half of the defragmenter
@@ -200,16 +199,12 @@ func (t *Txn) RelocateExtent(tgt RelocTarget) (bool, error) {
 	newSt.Extents = append([]storage.PID(nil), st.Extents...)
 	newSt.Extents[tgt.Tier] = newPID
 
-	t.updateIndexesOnDelete(r, tgt.Key, st)
-	if err := t.stageWrite(r, tgt.Key, append([]byte{tagBlob}, newSt.Encode()...), wal.RecBlobState); err != nil {
+	// Abort path: Discard(News) returns the copy to the allocator. Commit
+	// path: the old extent frees through the epoch-deferred, ledger-aware
+	// reclaimer once no reader can hold its snapshot.
+	p := db.blobs.NewPending(nil, []blob.FreeSpec{{Tier: tgt.Tier, PID: newPID}})
+	if err := t.stageBlob(r, tgt.Key, st, newSt, p, []blob.FreeSpec{{Tier: tgt.Tier, PID: tgt.PID}}); err != nil {
 		return false, err
 	}
-	t.updateIndexesOnPutState(r, tgt.Key, newSt)
-	t.regs = append(t.regs, newSt)
-	// Abort path: Discard(News) returns the copy to the allocator.
-	t.pendings = append(t.pendings, db.blobs.NewPending(nil, []blob.FreeSpec{{Tier: tgt.Tier, PID: newPID}}))
-	// Commit path: the old extent frees through the epoch-deferred,
-	// ledger-aware reclaimer once no reader can hold its snapshot.
-	t.frees = append(t.frees, blob.FreeSpec{Tier: tgt.Tier, PID: tgt.PID})
 	return true, nil
 }

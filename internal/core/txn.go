@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"slices"
 
 	"blobdb/internal/blob"
@@ -273,20 +275,8 @@ func (t *Txn) newBlobWriterOpts(ctx context.Context, relName string, key []byte,
 				if shared := t.tryDedup(st, p); shared != nil {
 					st = shared
 				}
-				if err := t.freeOldBlob(r, keyCopy); err != nil {
-					return err
-				}
-			} else {
-				t.updateIndexesOnDelete(r, keyCopy, base)
 			}
-			t.pendings = append(t.pendings, p)
-			t.frees = append(t.frees, frees...)
-			if err := t.stageWrite(r, keyCopy, append([]byte{tagBlob}, st.Encode()...), wal.RecBlobState); err != nil {
-				return err
-			}
-			t.updateIndexesOnPutState(r, keyCopy, st)
-			t.regs = append(t.regs, st)
-			return nil
+			return t.stageBlob(r, keyCopy, base, st, p, frees)
 		},
 	})
 	if err != nil {
@@ -303,6 +293,32 @@ func (t *Txn) dropWriter(w *blob.Writer) {
 			return
 		}
 	}
+}
+
+// stageBlob makes st the BLOB column of key. With base nil the key's old
+// blob is scheduled for freeing; with base set (an append or in-place
+// update of base) only base's index entries go. p's flush work (nil for an
+// adopted sequence) and frees join the transaction, the tuple and its Blob
+// State record are staged, the indexes refreshed, and st is queued for the
+// content index at commit.
+func (t *Txn) stageBlob(r *Relation, key []byte, base, st *blob.State, p *blob.Pending, frees []blob.FreeSpec) error {
+	if base == nil {
+		if err := t.freeOldBlob(r, key); err != nil {
+			return err
+		}
+	} else {
+		t.updateIndexesOnDelete(r, key, base)
+	}
+	if p != nil {
+		t.pendings = append(t.pendings, p)
+	}
+	t.frees = append(t.frees, frees...)
+	if err := t.stageWrite(r, key, append([]byte{tagBlob}, st.Encode()...), wal.RecBlobState); err != nil {
+		return err
+	}
+	t.updateIndexesOnPutState(r, key, st)
+	t.regs = append(t.regs, st)
+	return nil
 }
 
 // LockKey takes the transaction's exclusive record lock on (rel, key)
@@ -411,6 +427,31 @@ func (t *Txn) ReadBlob(relName string, key []byte, fn func(view *buffer.BlobView
 	if err != nil {
 		return err
 	}
+	return t.ReadState(st, fn)
+}
+
+// ReadContent is the local byte source of a transfer (Content): one lookup
+// pins the BLOB at key, and fn streams it from the aliased view with the
+// ETag and size of that same Blob State — the bytes are never
+// materialised. A key that holds no BLOB reports ErrBlobVanished.
+func (t *Txn) ReadContent(relName string, key []byte, fn ContentFn) error {
+	st, err := t.BlobState(relName, key)
+	if errors.Is(err, ErrNotFound) || errors.Is(err, ErrNotBlob) || errors.Is(err, ErrRelationNotFound) {
+		return ErrBlobVanished
+	}
+	if err != nil {
+		return err
+	}
+	return t.ReadState(st, func(v *buffer.BlobView) error {
+		return fn(st.ETag(), st.Size, io.NewSectionReader(v, 0, int64(v.Len())))
+	})
+}
+
+// ReadState loads the extents of st — a Blob State this transaction looked
+// up — and invokes fn with the aliased view, pinned for exactly the
+// callback. Reading the state already looked up, rather than looking the
+// key up again, keeps the bytes those of the state's ETag.
+func (t *Txn) ReadState(st *blob.State, fn func(view *buffer.BlobView) error) error {
 	h, err := t.db.blobs.Read(t.meter, st)
 	if err != nil {
 		return err
@@ -473,7 +514,6 @@ func (t *Txn) UpdateBlob(relName string, key []byte, off uint64, data []byte, sc
 		// stay shared (clone-on-divergence).
 		scheme = blob.UpdateClone
 	}
-	t.updateIndexesOnDelete(r, key, st)
 	res, err := t.db.blobs.Update(t.meter, st, off, data, scheme)
 	if err != nil {
 		return err
@@ -486,12 +526,7 @@ func (t *Txn) UpdateBlob(relName string, key []byte, off uint64, data []byte, sc
 		}
 		t.wrote = true
 	}
-	if err := t.stageWrite(r, key, append([]byte{tagBlob}, res.State.Encode()...), wal.RecBlobState); err != nil {
-		return err
-	}
-	t.updateIndexesOnPutState(r, key, res.State)
-	t.regs = append(t.regs, res.State)
-	return nil
+	return t.stageBlob(r, key, st, res.State, nil, nil)
 }
 
 // Scan iterates tuples with key >= from in order; fn receives the key and,

@@ -211,6 +211,7 @@ type Result struct {
 	Acked      int                  // replica: commit batches acknowledged before the crash
 	Replicated int                  // replica: acked batches at or below the horizon (exactly verified)
 	Resyncs    uint64               // replica: snapshot resyncs (checkpoint truncation raced the tail)
+	Transfers  core.TransferStats   // core.Install outcomes on every engine: reshard moves, replica applies
 	Report     *core.RecoveryReport // the crashed shard's recovery; nil when a replica was promoted
 }
 
@@ -439,6 +440,15 @@ func (r *runner) verify(res *Result, record, rebalanced bool, ringBefore *shard.
 			fd.CrashNow()
 		}
 	}
+	dbs := r.engines
+	if r.replica != nil {
+		dbs = append(dbs[:len(dbs):len(dbs)], r.replica.DB())
+	}
+	for _, db := range dbs {
+		if db != nil {
+			addTransfers(&res.Transfers, db.TransferStats())
+		}
+	}
 	// Quiesce every engine's background goroutines. Commit failures after
 	// a crash are expected; the committers must still shut down cleanly.
 	for _, db := range r.engines {
@@ -463,7 +473,7 @@ func (r *runner) verify(res *Result, record, rebalanced bool, ringBefore *shard.
 			// the image is not a recoverable database and holds no blobs.
 			snaps[i] = map[string][]byte{}
 		default:
-			rep, snap, err := recoverAndCheck(fd.CrashImage(), r.cfg.dbOptions())
+			rep, snap, err := recoverAndCheck(fd.TakeCrashImage(nil), r.cfg.dbOptions())
 			if i == s.CrashShard {
 				res.Report = rep
 			}
@@ -639,14 +649,22 @@ func sortedKeys(m map[string][]byte) []string {
 	return keys
 }
 
+// addTransfers adds s's counts to sum.
+func addTransfers(sum *core.TransferStats, s core.TransferStats) {
+	for i, n := range s.Outcomes {
+		sum.Outcomes[i] += n
+	}
+	sum.CopiedBytes += s.CopiedBytes
+}
+
 // seedEviction reseeds the pool's eviction sampling so pool decisions
 // replay exactly for a given schedule.
 func seedEviction(db *core.DB, seed int64) {
 	db.Pool().(*buffer.VMPool).SetEvictionSeed(seed)
 }
 
-// recoverAndCheck recovers a frozen crash image into a fresh engine,
-// snapshots every surviving key, and enforces the allocator leak
+// recoverAndCheck recovers a device over a frozen crash image into a fresh
+// engine, snapshots every surviving key, and enforces the allocator leak
 // invariant: the rebuilt allocator's live pages must equal the pages
 // owned by surviving blobs counted once per DISTINCT extent — with
 // content-addressed dedup, several tuples may reference one sequence, and
@@ -654,8 +672,7 @@ func seedEviction(db *core.DB, seed int64) {
 // harness exists to catch. The refcount ledger itself is cross-checked
 // against a full recount (core.CheckLedger). The caller judges the
 // snapshot against its reference model.
-func recoverAndCheck(img []byte, opts []core.Option) (*core.RecoveryReport, map[string][]byte, error) {
-	rdev := storage.NewMemDeviceFrom(simPageSize, simDevPages, nil, img)
+func recoverAndCheck(rdev *storage.MemDevice, opts []core.Option) (*core.RecoveryReport, map[string][]byte, error) {
 	db, rep, err := core.RecoverDevice(rdev, nil, opts...)
 	if err != nil {
 		return nil, nil, fmt.Errorf("crashsim: recovery failed on crash image: %w", err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"blobdb/internal/core"
 	"blobdb/internal/storage"
 )
 
@@ -36,6 +37,9 @@ func sweep(t *testing.T, cfg Config, min int) Stats {
 	stats, failures := Explore(cfg)
 	t.Logf("explored %d schedules across %d traces (seed %d): %d survivor ops, %d shed ops, %d batches verified at/below horizon, %d schedules with a stale tail",
 		stats.Schedules, stats.Traces, cfg.Seed, stats.SurvivorOps, stats.ShedOps, stats.Replicated, stats.StaleTail)
+	if line := stats.TransferLine(); line != "" {
+		t.Log(line)
+	}
 	for _, f := range failures {
 		t.Errorf("schedule failed:\n%v", f)
 	}
@@ -150,18 +154,36 @@ func TestFailoverSchedulesShort(t *testing.T) {
 	}
 }
 
-// TestComposedSchedulesShort composes two families at no harness cost:
-// the dedup traces (dup-put, dup-put-abort, relocate) routed over 3
-// shards, crashed in steady serving and inside a live reshard. Relocation
-// rounds run on every live shard; the reshard streams shared sequences
-// to the destination.
+// TestComposedSchedulesShort composes families at no harness cost. The
+// dedup traces (dup-put, dup-put-abort, relocate) run routed over 3
+// shards, crashed in steady serving and inside a live reshard; and with a
+// replica tailing the crashed primary, whose record applies adopt content
+// the replica already holds. Relocation rounds run on every live shard.
 func TestComposedSchedulesShort(t *testing.T) {
-	cfg := DefaultTopoConfig(*flagSeed + 5)
-	cfg.Dedup = true
-	cfg.Traces, cfg.Points = 1, shortOr(2, cfg.Points)
-	stats := sweep(t, cfg, shortOr(12, 24))
-	if stats.SurvivorOps == 0 || stats.ShedOps == 0 {
-		t.Errorf("isolation paths not exercised: %d survivor ops, %d shed ops", stats.SurvivorOps, stats.ShedOps)
+	topo := DefaultTopoConfig(*flagSeed + 5)
+	topo.Dedup = true
+	topo.Traces, topo.Points = 1, shortOr(2, topo.Points)
+	failover := DefaultFailoverConfig(*flagSeed + 5)
+	failover.Dedup = true
+	failover.Traces, failover.Points = 2, shortOr(3, 8)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		min  int
+	}{
+		{"topology-dedup", topo, shortOr(12, 24)},
+		{"failover-dedup", failover, shortOr(12, 30)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stats := sweep(t, tc.cfg, tc.min)
+			if tc.cfg.Shards > 1 && (stats.SurvivorOps == 0 || stats.ShedOps == 0) {
+				t.Errorf("isolation paths not exercised: %d survivor ops, %d shed ops", stats.SurvivorOps, stats.ShedOps)
+			}
+			if tc.cfg.PullEvery != 0 && (stats.Replicated == 0 || stats.Transfers.Outcomes[core.TransferAdopted] == 0) {
+				t.Errorf("replica applies not exercised: %d batches verified at or below the horizon, %s",
+					stats.Replicated, stats.TransferLine())
+			}
+		})
 	}
 }
 

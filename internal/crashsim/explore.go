@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"blobdb/internal/core"
 	"blobdb/internal/storage"
 )
 
@@ -52,10 +53,25 @@ type Stats struct {
 	Traces      int
 	Schedules   int // distinct schedules executed, record passes included
 	Failures    int
-	SurvivorOps int // ops served by surviving shards after a crash, summed
-	ShedOps     int // ops fast-rejected for the crashed shard, summed
-	Replicated  int // acked batches exactly verified at or below a replica's horizon, summed
-	StaleTail   int // schedules where the crash lost unreplicated batches above the horizon (the allowed tail)
+	SurvivorOps int                // ops served by surviving shards after a crash, summed
+	ShedOps     int                // ops fast-rejected for the crashed shard, summed
+	Replicated  int                // acked batches exactly verified at or below a replica's horizon, summed
+	StaleTail   int                // schedules where the crash lost unreplicated batches above the horizon (the allowed tail)
+	Transfers   core.TransferStats // core.Install outcomes (reshard moves, replica applies), summed
+}
+
+// TransferLine summarizes the sweep's content transfers, or "" when the
+// family made none.
+func (s Stats) TransferLine() string {
+	o := s.Transfers.Outcomes
+	total := o[core.TransferUnchanged] + o[core.TransferVanished] + o[core.TransferAdopted] + o[core.TransferCopied]
+	if total == 0 {
+		return ""
+	}
+	return fmt.Sprintf("transfers: %d, %d adopted (%.0f%%), %d copied (%.0f%%, %d bytes), %d unchanged, %d vanished",
+		total, o[core.TransferAdopted], 100*float64(o[core.TransferAdopted])/float64(total),
+		o[core.TransferCopied], 100*float64(o[core.TransferCopied])/float64(total), s.Transfers.CopiedBytes,
+		o[core.TransferUnchanged], o[core.TransferVanished])
 }
 
 // Explore samples the crash-schedule space. For every trace it runs a
@@ -95,6 +111,7 @@ func Explore(cfg Config) (Stats, []Failure) {
 			return nil
 		}
 		stats.Replicated += res.Replicated
+		addTransfers(&stats.Transfers, res.Transfers)
 		if res.Replicated < res.Acked {
 			stats.StaleTail++
 		}

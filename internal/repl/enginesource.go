@@ -1,10 +1,7 @@
 package repl
 
 import (
-	"bytes"
 	"context"
-	"errors"
-	"io"
 	"sort"
 
 	"blobdb/internal/blob"
@@ -32,22 +29,12 @@ func (s *EngineSource) Pull(_ context.Context, after uint64) (Pull, error) {
 	return Pull{Records: recs, Durable: durable, Resync: resync}, nil
 }
 
-// FetchBlob returns the primary's current committed content for the key.
-func (s *EngineSource) FetchBlob(ctx context.Context, rel string, key []byte) (string, io.ReadCloser, error) {
+// FetchBlob streams the primary's current committed content for the key
+// from a pinned view (Txn.ReadContent).
+func (s *EngineSource) FetchBlob(ctx context.Context, rel string, key []byte, fn core.ContentFn) error {
 	tx := s.db.BeginCtx(ctx, nil)
 	defer tx.Commit() // read-only
-	st, err := tx.BlobState(rel, key)
-	if err != nil {
-		if errors.Is(err, core.ErrNotFound) || errors.Is(err, core.ErrNotBlob) || errors.Is(err, core.ErrRelationNotFound) {
-			return "", nil, core.ErrBlobVanished
-		}
-		return "", nil, err
-	}
-	content, err := tx.ReadBlobBytes(rel, key)
-	if err != nil {
-		return "", nil, err
-	}
-	return st.ETag(), io.NopCloser(bytes.NewReader(content)), nil
+	return tx.ReadContent(rel, key, fn)
 }
 
 // Snapshot captures a full logical image. The commit pipeline is held
@@ -66,15 +53,7 @@ func (s *EngineSource) Snapshot(_ context.Context) (*Snapshot, error) {
 	defer tx.Commit() // read-only
 	for _, rel := range rels {
 		err := tx.Scan(rel, nil, func(key, inline []byte, st *blob.State) bool {
-			e := Entry{Rel: rel, Key: append([]byte(nil), key...)}
-			if st != nil {
-				e.Blob = true
-				e.ETag = st.ETag()
-				e.Size = st.Size
-			} else {
-				e.Inline = append([]byte(nil), inline...)
-			}
-			snap.Entries = append(snap.Entries, e)
+			snap.Entries = append(snap.Entries, Entry{Rel: rel, Key: append([]byte(nil), key...), Row: core.RowOf(inline, st)})
 			return true
 		})
 		if err != nil {

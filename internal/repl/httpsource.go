@@ -73,28 +73,30 @@ func (s *HTTPSource) Pull(ctx context.Context, after uint64) (Pull, error) {
 	return p, err
 }
 
-// FetchBlob streams the primary's current committed content for the key.
-func (s *HTTPSource) FetchBlob(ctx context.Context, rel string, key []byte) (string, io.ReadCloser, error) {
+// FetchBlob streams the primary's current committed content for the key:
+// fn reads the response body, whose Content-Length is the size, so a body
+// cut short fails the transfer instead of installing a prefix.
+func (s *HTTPSource) FetchBlob(ctx context.Context, rel string, key []byte, fn core.ContentFn) error {
 	path := "/repl/v1/blob/" + url.PathEscape(rel) + "/" + escapeKeyPath(key) + "?shard=" + strconv.Itoa(s.shard)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+path, nil)
 	if err != nil {
-		return "", nil, err
+		return err
 	}
 	resp, err := s.hc.Do(req)
 	if err != nil {
-		return "", nil, err
+		return err
 	}
-	if resp.StatusCode == http.StatusNotFound {
-		resp.Body.Close()
-		return "", nil, core.ErrBlobVanished
-	}
-	if resp.StatusCode != http.StatusOK {
+	defer resp.Body.Close()
+	switch {
+	case resp.StatusCode == http.StatusGone: // not 404, which also means no such shard
+		return core.ErrBlobVanished
+	case resp.StatusCode != http.StatusOK:
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		resp.Body.Close()
-		return "", nil, fmt.Errorf("repl: fetch blob %q/%q: %s: %s", rel, key, resp.Status, strings.TrimSpace(string(body)))
+		return fmt.Errorf("repl: fetch blob %q/%q: %s: %s", rel, key, resp.Status, strings.TrimSpace(string(body)))
+	case resp.ContentLength < 0:
+		return fmt.Errorf("repl: fetch blob %q/%q: response has no Content-Length", rel, key)
 	}
-	etag := strings.Trim(resp.Header.Get("ETag"), `"`)
-	return etag, resp.Body, nil
+	return fn(strings.Trim(resp.Header.Get("ETag"), `"`), uint64(resp.ContentLength), resp.Body)
 }
 
 // Snapshot fetches a full logical image for resync.

@@ -14,10 +14,9 @@
 //     checkpointed and reclaimed those segments), the pull demands a
 //     resync: the replica installs a full logical snapshot at the
 //     snapshot's LSN and resumes tailing from there.
-//   - BLOB content travels out of band: the logical stream carries Blob
-//     States (extent maps + SHA-256), so the replica fetches content by
-//     key and verifies the installed bytes hash to the ETag the source
-//     claimed. See core.BlobFetch for the freshness rules.
+//   - BLOB content travels out of band: records and snapshot entries are
+//     installed through core.Install, which fetches by key only what the
+//     replica lacks (DESIGN.md §13 states the rules).
 //
 // AppliedLSN is the replica's staleness contract: every primary
 // transaction whose commit record is at or below it is fully applied, so
@@ -29,8 +28,8 @@ package repl
 
 import (
 	"context"
-	"io"
 
+	"blobdb/internal/core"
 	"blobdb/internal/wal"
 )
 
@@ -51,12 +50,9 @@ type Pull struct {
 // Entry is one tuple of a logical snapshot: either an inline value or a
 // BLOB identified by its ETag (content is fetched separately).
 type Entry struct {
-	Rel    string
-	Key    []byte
-	Inline []byte // inline column value; nil for BLOBs
-	Blob   bool
-	ETag   string // BLOB content hash (blob.State.ETag)
-	Size   uint64 // BLOB size in bytes
+	Rel string
+	Key []byte
+	core.Row
 }
 
 // Snapshot is a full logical image of the primary at LSN: replaying records
@@ -72,10 +68,11 @@ type Snapshot struct {
 type Source interface {
 	// Pull returns the durable records above after, or demands a resync.
 	Pull(ctx context.Context, after uint64) (Pull, error)
-	// FetchBlob returns the primary's current committed content for the
-	// key and that content's ETag. A key with no committed BLOB content
-	// reports core.ErrBlobVanished.
-	FetchBlob(ctx context.Context, rel string, key []byte) (etag string, rc io.ReadCloser, err error)
+	// FetchBlob calls fn with the primary's current committed content for
+	// the key: its ETag, its size and a reader of its bytes. A key with no
+	// committed BLOB content reports core.ErrBlobVanished without calling
+	// fn. It is a core.BlobFetch.
+	FetchBlob(ctx context.Context, rel string, key []byte, fn core.ContentFn) error
 	// Snapshot captures a full logical image for resync. The primary
 	// should be commit-quiesced while the image is taken (EngineSource
 	// holds the commit pipeline); tuples staged by transactions that

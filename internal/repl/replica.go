@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,12 +119,11 @@ func (r *Replica) apply(ctx context.Context, recs []wal.Record) error {
 		delete(r.pending, txn)
 	}
 
-	fetch := r.fetcher(ctx)
 	for _, c := range commits {
 		// Ops buffered from earlier batches all precede this batch's.
 		ops := append(append([]wal.Record(nil), r.pending[c.txn]...), delta[c.txn]...)
 		if len(ops) > 0 { // read-only txns (or ops below a resync snapshot) skip
-			if err := r.db.ApplyReplicated(ops, fetch); err != nil {
+			if err := r.db.ApplyReplicated(ctx, ops, r.src.FetchBlob); err != nil {
 				r.preserve(delta)
 				return fmt.Errorf("repl: apply txn %d (commit lsn %d): %w", c.txn, c.lsn, err)
 			}
@@ -172,10 +170,8 @@ func (r *Replica) resync(ctx context.Context) error {
 	r.resyncs.Add(1)
 	r.pending = map[uint64][]wal.Record{}
 	for _, rel := range snap.Rels {
-		if _, err := r.db.Relation(rel); err != nil {
-			if _, cerr := r.db.CreateRelation(rel); cerr != nil && !errors.Is(cerr, core.ErrRelationExists) {
-				return cerr
-			}
+		if _, err := r.db.CreateRelation(rel); err != nil && !errors.Is(err, core.ErrRelationExists) {
+			return err
 		}
 	}
 	keep := map[string]map[string]bool{}
@@ -184,8 +180,11 @@ func (r *Replica) resync(ctx context.Context) error {
 			keep[e.Rel] = map[string]bool{}
 		}
 		keep[e.Rel][string(e.Key)] = true
-		if err := r.installEntry(ctx, e); err != nil {
-			return fmt.Errorf("repl: resync %q/%q: %w", e.Rel, e.Key, err)
+		// Entries the replica already holds are kept or adopted, not
+		// fetched (the common resync case: only the tail diverged).
+		fetch := func(fn core.ContentFn) error { return r.src.FetchBlob(ctx, e.Rel, e.Key, fn) }
+		if _, err := r.db.Install(ctx, e.Rel, e.Key, e.Row, fetch); err != nil {
+			return fmt.Errorf("repl: resync: %w", err)
 		}
 	}
 	// Drop local tuples the primary no longer has.
@@ -203,12 +202,7 @@ func (r *Replica) resync(ctx context.Context) error {
 			return err
 		}
 		for _, key := range stale {
-			tx := r.db.BeginCtx(ctx, nil)
-			if err := tx.DeleteBlob(rel, key); err != nil && !errors.Is(err, core.ErrNotFound) {
-				tx.Abort()
-				return err
-			}
-			if err := tx.Commit(); err != nil {
+			if err := r.db.Delete(ctx, rel, key); err != nil {
 				return err
 			}
 		}
@@ -217,64 +211,6 @@ func (r *Replica) resync(ctx context.Context) error {
 		r.applied.Store(snap.LSN)
 	}
 	return nil
-}
-
-// installEntry writes one snapshot tuple, skipping BLOBs the replica
-// already holds at the right ETag (the common resync case: only the tail
-// diverged).
-func (r *Replica) installEntry(ctx context.Context, e Entry) error {
-	tx := r.db.BeginCtx(ctx, nil)
-	if !e.Blob {
-		if err := tx.Put(e.Rel, e.Key, e.Inline); err != nil {
-			tx.Abort()
-			return err
-		}
-		return tx.Commit()
-	}
-	if st, err := tx.BlobState(e.Rel, e.Key); err == nil && st.ETag() == e.ETag {
-		return tx.Commit() // already identical
-	}
-	etag, rc, err := r.src.FetchBlob(ctx, e.Rel, e.Key)
-	if errors.Is(err, core.ErrBlobVanished) {
-		tx.Abort()
-		return nil // deleted on the primary since the snapshot; replay fixes it
-	}
-	if err != nil {
-		tx.Abort()
-		return err
-	}
-	defer rc.Close()
-	w, err := tx.CreateBlob(ctx, e.Rel, e.Key)
-	if err != nil {
-		tx.Abort()
-		return err
-	}
-	if _, err := io.Copy(w, rc); err != nil {
-		w.Abort()
-		tx.Abort()
-		return err
-	}
-	if err := w.Close(); err != nil {
-		tx.Abort()
-		return err
-	}
-	got, err := tx.BlobState(e.Rel, e.Key)
-	if err != nil {
-		tx.Abort()
-		return err
-	}
-	if got.ETag() != etag {
-		tx.Abort()
-		return fmt.Errorf("installed etag %s, fetcher claimed %s", got.ETag(), etag)
-	}
-	return tx.Commit()
-}
-
-// fetcher adapts the source to core.BlobFetch.
-func (r *Replica) fetcher(ctx context.Context) core.BlobFetch {
-	return func(rel string, key []byte, _ *blob.State) (string, io.ReadCloser, error) {
-		return r.src.FetchBlob(ctx, rel, key)
-	}
 }
 
 // Run tails the source until ctx is cancelled or the replica is promoted,

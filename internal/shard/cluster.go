@@ -358,12 +358,13 @@ func (c *Cluster) AddShard(db *core.DB) (int, error) {
 // Rebalancing reports whether a live reshard is in progress.
 func (c *Cluster) Rebalancing() bool { return c.rebalancing.Load() }
 
-// RebalancedBytes reports the cumulative blob bytes streamed
-// shard→shard by reshards.
+// RebalancedBytes reports the cumulative bytes reshards streamed
+// shard→shard (BLOB content and inline values). Content the destination
+// already held and adopted moves no bytes and is not counted.
 func (c *Cluster) RebalancedBytes() int64 { return c.rebalanceBytes.Load() }
 
-// RebalancedBlobs reports the cumulative blobs streamed shard→shard by
-// reshards.
+// RebalancedBlobs reports the cumulative rows reshards installed on a
+// destination, streamed or adopted.
 func (c *Cluster) RebalancedBlobs() int64 { return c.rebalanceBlobs.Load() }
 
 // Close shuts down every live shard's commit pipeline and leaves a

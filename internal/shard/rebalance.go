@@ -4,12 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
-	"sync/atomic"
 
 	"blobdb/internal/blob"
-	"blobdb/internal/buffer"
 	"blobdb/internal/core"
 )
 
@@ -28,12 +25,11 @@ const maxDeltaRounds = 8
 // Rebalance moves shard dst (previously registered via AddShard but not
 // yet a ring member) into the routing ring without downtime:
 //
-//  1. Copy phase — with writes still flowing, stream every blob whose
-//     owner under the NEXT ring is dst from its current shard to dst,
-//     via the engine's streaming blob writer, validating each copy by
-//     ETag. Repeat as converging delta rounds: each round recopies only
-//     keys that changed (and removes keys that were deleted) since the
-//     last one.
+//  1. Copy phase — with writes still flowing, install on dst every row
+//     whose owner under the NEXT ring is dst, through the engine's
+//     transfer primitive (core.Install, DESIGN.md §13). Repeat as
+//     converging delta rounds: each round recopies only keys that
+//     changed (and removes keys that were deleted) since the last one.
 //  2. Cutover barrier — take the topology write lock, which waits out
 //     every in-flight routed operation, run one final delta round (now
 //     nothing can write), and swap the ring pointer. From here reads and
@@ -148,7 +144,7 @@ func sortedKeys(m map[string]string) []string {
 	return out
 }
 
-// version is a comparable fingerprint of one row: the ETag for BLOB
+// rowVersion is a comparable fingerprint of one row: the ETag for BLOB
 // columns, the raw bytes for inline rows.
 func rowVersion(inline []byte, st *blob.State) string {
 	if st != nil {
@@ -204,7 +200,7 @@ func (c *Cluster) syncRound(ctx context.Context, srcs []*Shard, dst *Shard, rels
 				if have[key] == moving[key] {
 					continue
 				}
-				if err := c.copyRow(ctx, s, dst, rel, key); err != nil {
+				if err := c.moveRow(ctx, s, dst, rel, key); err != nil {
 					return changed, nil, err
 				}
 				changed++
@@ -216,8 +212,8 @@ func (c *Cluster) syncRound(ctx context.Context, srcs []*Shard, dst *Shard, rels
 			if want[key] {
 				continue
 			}
-			if err := deleteRow(ctx, dst, rel, key); err != nil {
-				return changed, nil, err
+			if err := dst.DB().Delete(ctx, rel, []byte(key)); err != nil {
+				return changed, nil, fmt.Errorf("shard %d: delete %q/%q: %w", dst.id, rel, key, err)
 			}
 			changed++
 		}
@@ -225,100 +221,41 @@ func (c *Cluster) syncRound(ctx context.Context, srcs []*Shard, dst *Shard, rels
 	return changed, moved, nil
 }
 
-// copyRow streams one row from src to dst and validates the copy. BLOB
-// columns go through the engine's streaming writer, which hashes as it
-// writes: the destination ETag is recomputed from the bytes that actually
-// arrived and must equal the source ETag of the snapshot we read — any
-// corruption in flight fails the reshard instead of surfacing later.
-func (c *Cluster) copyRow(ctx context.Context, src, dst *Shard, rel, key string) error {
+// moveRow installs one source row on dst with core.Install (DESIGN.md
+// §13). The source row stays locked for the whole move: the engine's
+// readers don't lock, but a concurrent overwrite would commit and free
+// the extents this read streams from.
+func (c *Cluster) moveRow(ctx context.Context, src, dst *Shard, rel, key string) error {
 	stx := src.DB().BeginCtx(ctx, nil)
 	defer stx.Commit()
-	// Lock the source row for the whole copy: the engine's readers don't
-	// lock, but this read keeps the blob's extents pinned while streaming
-	// — an unlocked concurrent overwrite would commit and free them
-	// mid-copy.
-	if err := stx.LockKey(rel, []byte(key)); err != nil {
+	k := []byte(key)
+	if err := stx.LockKey(rel, k); err != nil {
 		return err
 	}
-	srcSt, err := stx.BlobState(rel, []byte(key))
-	switch {
-	case errors.Is(err, core.ErrKeyNotFound):
-		// Deleted between the scan and the copy; the next round's
+	var row core.Row
+	st, err := stx.BlobState(rel, k)
+	if errors.Is(err, core.ErrNotBlob) {
+		row.Inline, err = stx.Get(rel, k)
+	} else if err == nil {
+		row = core.RowOf(nil, st)
+	}
+	if errors.Is(err, core.ErrNotFound) {
+		// Deleted between the scan and the move; the next round's
 		// reconciliation pass removes it from dst.
 		return nil
-	case errors.Is(err, core.ErrNotBlob):
-		return copyInline(ctx, stx, dst, rel, key, &c.rebalanceBytes, &c.rebalanceBlobs)
-	case err != nil:
-		return fmt.Errorf("shard %d: state %q/%q: %w", src.id, rel, key, err)
-	}
-
-	dtx := dst.DB().BeginCtx(ctx, nil)
-	w, err := dtx.CreateBlob(ctx, rel, []byte(key))
-	if err != nil {
-		dtx.Abort()
-		return fmt.Errorf("shard %d: create %q/%q: %w", dst.id, rel, key, err)
-	}
-	err = stx.ReadBlob(rel, []byte(key), func(view *buffer.BlobView) error {
-		_, err := io.Copy(w, io.NewSectionReader(view, 0, int64(view.Len())))
-		return err
-	})
-	if err == nil {
-		err = w.Close()
-	} else {
-		w.Abort()
 	}
 	if err != nil {
-		dtx.Abort()
-		return fmt.Errorf("rebalance copy %q/%q: %w", rel, key, err)
+		return fmt.Errorf("shard %d: read %q/%q: %w", src.id, rel, key, err)
 	}
-	if got := w.State().ETag(); got != srcSt.ETag() {
-		dtx.Abort()
-		return fmt.Errorf("rebalance copy %q/%q: etag mismatch: src %s dst %s", rel, key, srcSt.ETag(), got)
-	}
-	if err := dtx.Commit(); err != nil {
-		return fmt.Errorf("shard %d: commit copy %q/%q: %w", dst.id, rel, key, err)
-	}
-	c.rebalanceBytes.Add(int64(srcSt.Size))
-	c.rebalanceBlobs.Add(1)
-	return nil
-}
-
-// copyInline moves a non-BLOB row; stx already holds the source read.
-func copyInline(ctx context.Context, stx *core.Txn, dst *Shard, rel, key string, bytesMoved, blobsMoved *atomic.Int64) error {
-	val, err := stx.Get(rel, []byte(key))
-	if errors.Is(err, core.ErrKeyNotFound) {
-		return nil
-	}
+	out, err := dst.DB().Install(ctx, rel, k, row, func(fn core.ContentFn) error { return stx.ReadContent(rel, k, fn) })
 	if err != nil {
-		return fmt.Errorf("rebalance inline %q/%q: %w", rel, key, err)
+		return fmt.Errorf("shard %d: rebalance: %w", dst.id, err)
 	}
-	dtx := dst.DB().BeginCtx(ctx, nil)
-	if err := dtx.Put(rel, []byte(key), val); err != nil {
-		dtx.Abort()
-		return fmt.Errorf("shard %d: put %q/%q: %w", dst.id, rel, key, err)
+	if out == core.TransferCopied {
+		c.rebalanceBytes.Add(int64(row.Size) + int64(len(row.Inline)))
 	}
-	if err := dtx.Commit(); err != nil {
-		return fmt.Errorf("shard %d: commit inline %q/%q: %w", dst.id, rel, key, err)
-	}
-	bytesMoved.Add(int64(len(val)))
-	blobsMoved.Add(1)
-	return nil
-}
-
-// deleteRow removes one row from a shard, tolerating its absence.
-func deleteRow(ctx context.Context, s *Shard, rel, key string) error {
-	tx := s.DB().BeginCtx(ctx, nil)
-	err := tx.DeleteBlob(rel, []byte(key))
-	if errors.Is(err, core.ErrKeyNotFound) {
-		tx.Abort()
-		return nil
-	}
-	if err != nil {
-		tx.Abort()
-		return fmt.Errorf("shard %d: delete %q/%q: %w", s.id, rel, key, err)
-	}
-	if err := tx.Commit(); err != nil {
-		return fmt.Errorf("shard %d: commit delete %q/%q: %w", s.id, rel, key, err)
+	if out == core.TransferCopied || out == core.TransferAdopted {
+		c.rebalanceBlobs.Add(1)
 	}
 	return nil
 }
@@ -329,8 +266,8 @@ func deleteRow(ctx context.Context, s *Shard, rel, key string) error {
 // source copy that the ring never serves.
 func cleanupMoved(ctx context.Context, moved []sourceRow) error {
 	for _, r := range moved {
-		if err := deleteRow(ctx, r.src, r.rel, r.key); err != nil {
-			return err
+		if err := r.src.DB().Delete(ctx, r.rel, []byte(r.key)); err != nil {
+			return fmt.Errorf("shard %d: delete %q/%q: %w", r.src.id, r.rel, r.key, err)
 		}
 	}
 	return nil

@@ -33,6 +33,10 @@ const DefaultPageSize = 4096
 // ErrOutOfSpace is returned when an access goes past the end of the device.
 var ErrOutOfSpace = errors.New("storage: out of device space")
 
+// ErrDeviceLocked reports opening a device file that another open
+// FileDevice (in any process) holds.
+var ErrDeviceLocked = errors.New("storage: device file is locked by another open device")
+
 // Stats counts device traffic. All fields are updated atomically; read them
 // with the corresponding methods or Snapshot.
 type Stats struct {
@@ -318,13 +322,21 @@ func openFileDevice(path string, pageSize int, numPages uint64, cost *simtime.De
 	if pageSize <= 0 {
 		return nil, errors.New("storage: page size must be positive")
 	}
-	flags := os.O_RDWR | os.O_CREATE
-	if truncate {
-		flags |= os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open device file: %w", err)
+	}
+	// One writer per image: the lock is taken before anything is
+	// truncated, and Close (or the process's exit) releases it.
+	if err := lockFile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("%w: %s", err, path)
+	}
+	if truncate {
+		if err := f.Truncate(0); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("storage: truncate device file: %w", err)
+		}
 	}
 	// Sizing an already-sized file is a no-op, so reopened images keep
 	// their pages.
@@ -344,7 +356,7 @@ func (d *FileDevice) NumPages() uint64 { return d.numPages }
 // Stats implements Device.
 func (d *FileDevice) Stats() *Stats { return &d.stats }
 
-// Close releases the backing file.
+// Close releases the backing file and its lock.
 func (d *FileDevice) Close() error { return d.f.Close() }
 
 func (d *FileDevice) checkRange(pid PID, n int) error {

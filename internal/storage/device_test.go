@@ -287,6 +287,39 @@ func TestFileDevice(t *testing.T) {
 	}
 }
 
+// TestFileDeviceLocksItsImage: a second open of an image that an open
+// FileDevice holds fails with ErrDeviceLocked — also a truncating open,
+// which must not clear the held image — and succeeds once it is closed.
+func TestFileDeviceLocksItsImage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dev.img")
+	d, err := OpenFileDevice(path, DefaultPageSize, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := bytes.Repeat([]byte{0x5A}, DefaultPageSize)
+	if err := d.WritePages(nil, 3, 1, w); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFileDevice(path, DefaultPageSize, 8, nil); !errors.Is(err, ErrDeviceLocked) {
+		t.Fatalf("second open = %v, want ErrDeviceLocked", err)
+	}
+	if _, err := NewFileDevice(path, DefaultPageSize, 8, nil); !errors.Is(err, ErrDeviceLocked) {
+		t.Fatalf("second truncating open = %v, want ErrDeviceLocked", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := OpenFileDevice(path, DefaultPageSize, 8, nil)
+	if err != nil {
+		t.Fatalf("reopen after Close: %v", err)
+	}
+	defer d2.Close()
+	r := make([]byte, DefaultPageSize)
+	if err := d2.ReadPages(nil, 3, 1, r); err != nil || !bytes.Equal(r, w) {
+		t.Fatalf("page written before the refused opens did not survive them (err %v)", err)
+	}
+}
+
 func TestReadWriteVec(t *testing.T) {
 	d := NewMemDevice(DefaultPageSize, 64, simtime.DefaultNVMe())
 

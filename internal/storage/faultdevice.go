@@ -85,10 +85,12 @@ type FaultConfig struct {
 	Record bool
 }
 
-// writeRec is one unsynced write (a copy — caller buffers are reused).
+// writeRec is one unsynced write: a copy of its bytes (caller buffers are
+// reused) and of the bytes it overwrote, so a crash can roll it back.
 type writeRec struct {
 	off  int64
 	data []byte
+	old  []byte
 }
 
 // FaultDevice wraps a Device with deterministic fault injection: torn
@@ -98,9 +100,10 @@ type writeRec struct {
 // would have left.
 //
 // The wrapped device always holds the *live* content (what the running
-// engine reads back); FaultDevice separately tracks the durable image —
-// the last-synced state plus whatever the tear model preserves of the
-// unsynced write set — and materializes it on crash.
+// engine reads back); FaultDevice keeps the unsynced write set with each
+// write's before-image. A crash copies the live content once, rolls the
+// unsynced writes back to the last-synced state, and replays whatever the
+// tear model preserves of them.
 //
 // All methods are safe for concurrent use; every operation serializes on
 // one mutex, which is fine for simulation workloads and guarantees the
@@ -111,7 +114,6 @@ type FaultDevice struct {
 	cfg   FaultConfig
 	rng   *rand.Rand
 
-	durable []byte     // image as of the last completed Sync
 	pending []writeRec // unsynced writes, in submission order
 
 	ops     int // mutating operations observed so far
@@ -127,9 +129,7 @@ type FaultDevice struct {
 	rot        map[int64]byte // absolute sector index -> XOR mask on reads
 }
 
-// NewFaultDevice wraps inner. The durable image starts as a copy of
-// inner's current content (pages are read once up front), so wrapping a
-// freshly created device costs one pass over its pages.
+// NewFaultDevice wraps inner; its current content is the durable image.
 func NewFaultDevice(inner Device, cfg FaultConfig) (*FaultDevice, error) {
 	if cfg.SectorSize == 0 {
 		cfg.SectorSize = DefaultSectorSize
@@ -145,15 +145,6 @@ func NewFaultDevice(inner Device, cfg FaultConfig) (*FaultDevice, error) {
 		failWrites: map[int]error{},
 		failReads:  map[int]error{},
 		rot:        map[int64]byte{},
-	}
-	size := int64(inner.PageSize()) * int64(inner.NumPages())
-	d.durable = make([]byte, size)
-	buf := make([]byte, inner.PageSize())
-	for pid := uint64(0); pid < inner.NumPages(); pid++ {
-		if err := inner.ReadPages(nil, PID(pid), 1, buf); err != nil {
-			return nil, fmt.Errorf("storage: snapshot initial image: %w", err)
-		}
-		copy(d.durable[int64(pid)*int64(inner.PageSize()):], buf)
 	}
 	if cfg.Record {
 		d.hashes = append(d.hashes, d.opHash)
@@ -388,12 +379,17 @@ func (d *FaultDevice) writeVecLocked(m *simtime.Meter, segs []Seg, vec bool) err
 		if len(s.Buf) < nbytes {
 			return fmt.Errorf("storage: write buffer %d bytes, need %d", len(s.Buf), nbytes)
 		}
+		old := make([]byte, nbytes)
+		if err := d.peek(s.PID, s.N, old); err != nil {
+			return err
+		}
 		if err := d.inner.WritePages(m, s.PID, s.N, s.Buf[:nbytes]); err != nil {
 			return err
 		}
 		d.pending = append(d.pending, writeRec{
 			off:  int64(s.PID) * int64(ps),
 			data: append([]byte(nil), s.Buf[:nbytes]...),
+			old:  old,
 		})
 	}
 	d.finishOp()
@@ -414,9 +410,6 @@ func (d *FaultDevice) Sync(m *simtime.Meter) error {
 		d.crashLocked(nil)
 		d.finishOp()
 		return ErrCrashed
-	}
-	for _, r := range d.pending {
-		copy(d.durable[r.off:], r.data)
 	}
 	d.pending = nil
 	if err := d.inner.Sync(m); err != nil {
@@ -439,12 +432,19 @@ func (d *FaultDevice) CrashNow() {
 
 // crashLocked materializes the crash image: the last-synced state, the
 // unsynced write set filtered through the tear model, and — when the crash
-// fired on a write — a prefix of the armed operation.
+// fired on a write — a prefix of the armed operation. The live content
+// already holds every unsynced write (the ordered model's image), so it is
+// copied once and only the scramble model rolls the writes back first.
 func (d *FaultDevice) crashLocked(armedSegs []Seg) {
-	img := append([]byte(nil), d.durable...)
+	img := make([]byte, int64(d.inner.PageSize())*int64(d.inner.NumPages()))
+	if err := d.peek(0, int(d.inner.NumPages()), img); err != nil {
+		panic(fmt.Sprintf("storage: snapshot crash image: %v", err))
+	}
 	sector := d.cfg.SectorSize
-	switch d.cfg.Mode {
-	case TearScramble:
+	if d.cfg.Mode == TearScramble {
+		for i := len(d.pending) - 1; i >= 0; i-- {
+			copy(img[d.pending[i].off:], d.pending[i].old)
+		}
 		for _, r := range d.pending {
 			for off := 0; off < len(r.data); off += sector {
 				if d.rng.Intn(2) == 0 {
@@ -456,10 +456,6 @@ func (d *FaultDevice) crashLocked(armedSegs []Seg) {
 				}
 				copy(img[r.off+int64(off):], r.data[off:end])
 			}
-		}
-	default: // TearOrdered
-		for _, r := range d.pending {
-			copy(img[r.off:], r.data)
 		}
 	}
 	if len(armedSegs) > 0 {
@@ -483,12 +479,38 @@ func (d *FaultDevice) crashLocked(armedSegs []Seg) {
 		}
 	}
 	d.image = img
+	d.pending = nil
 	d.crashed = true
 }
 
-// NewMemDeviceFrom creates an in-memory device initialized from image
-// (shorter images are zero-extended) — the recovery side of a FaultDevice
-// crash.
+// peek copies the wrapped device's current pages [pid, pid+n) into buf
+// without counting a device read: a write's before-image, or the crash
+// snapshot.
+func (d *FaultDevice) peek(pid PID, n int, buf []byte) error {
+	if m, ok := d.inner.(*MemDevice); ok {
+		copy(buf[:n*m.pageSize], m.data[int64(pid)*int64(m.pageSize):])
+		return nil
+	}
+	return d.inner.ReadPages(nil, pid, n, buf)
+}
+
+// TakeCrashImage hands the frozen crash image over as the storage of an
+// in-memory device, without a copy — the recovery side of a crash — or
+// returns nil if the device has not crashed. The device gives the image
+// up: CrashImage returns nil afterwards.
+func (d *FaultDevice) TakeCrashImage(cost *simtime.DeviceCostModel) *MemDevice {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.image == nil {
+		return nil
+	}
+	m := &MemDevice{pageSize: d.inner.PageSize(), numPages: d.inner.NumPages(), data: d.image, cost: cost}
+	d.image = nil
+	return m
+}
+
+// NewMemDeviceFrom creates an in-memory device initialized from a copy of
+// image (shorter images are zero-extended).
 func NewMemDeviceFrom(pageSize int, numPages uint64, cost *simtime.DeviceCostModel, image []byte) *MemDevice {
 	d := NewMemDevice(pageSize, numPages, cost)
 	copy(d.data, image)

@@ -286,6 +286,31 @@ func TestFaultDeviceOpHashDeterminism(t *testing.T) {
 	}
 }
 
+// TestTakeCrashImage: the crash image becomes a device's storage without
+// a copy, and the fault device gives it up.
+func TestTakeCrashImage(t *testing.T) {
+	fd, _ := newFaultPair(t, 8, FaultConfig{Seed: 1, CrashOp: -1})
+	if fd.TakeCrashImage(nil) != nil {
+		t.Fatal("device handed over an image before crashing")
+	}
+	if err := fd.WritePages(nil, 2, 1, pageOf(0x42, 1)); err != nil {
+		t.Fatal(err)
+	}
+	fd.CrashNow()
+	img := fd.CrashImage()
+	d := fd.TakeCrashImage(nil)
+	got := make([]byte, DefaultPageSize)
+	if err := d.ReadPages(nil, 2, 1, got); err != nil || got[0] != 0x42 {
+		t.Fatalf("recovery device page 2 = %#x, %v; want the crash image's 0x42", got[0], err)
+	}
+	if err := d.WritePages(nil, 2, 1, pageOf(0x43, 1)); err != nil || img[2*DefaultPageSize] != 0x43 {
+		t.Fatal("recovery device does not write the image in place")
+	}
+	if fd.CrashImage() != nil {
+		t.Fatal("fault device kept the image it handed over")
+	}
+}
+
 func TestNewMemDeviceFrom(t *testing.T) {
 	img := make([]byte, 3*DefaultPageSize)
 	for i := range img {
