@@ -13,6 +13,13 @@
 //	blobctl -db app.blobdb ls images
 //	blobctl -db app.blobdb rm images xray1.png
 //	blobctl -db app.blobdb stat images xray1.png
+//	blobctl fsck app.blobdb
+//
+// Opening a database recovers it, hashing only the Blob States recovery
+// cannot prove landed. fsck hashes every stored BLOB against its SHA-256
+// and exits non-zero naming the first key whose content does not match —
+// the check that finds out-of-band corruption (bit rot, a stray write to
+// the file), which startup no longer looks for.
 package main
 
 import (
@@ -36,7 +43,8 @@ const usage = `usage: blobctl [-db file] <command>
   get <relation> <key>   write the BLOB to stdout
   ls <relation>          list keys and sizes
   rm <relation> <key>    delete a BLOB
-  stat <relation> <key>  show the Blob State`
+  stat <relation> <key>  show the Blob State
+  fsck [file]            hash every BLOB against its SHA-256 (file: instead of -db)`
 
 // errUsage reports a malformed command line.
 var errUsage = errors.New("usage")
@@ -69,6 +77,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
+	if args[0] == "fsck" && rel != "" {
+		*dbPath = rel
+	}
 
 	dev, err := storage.OpenFileDevice(*dbPath, storage.DefaultPageSize, devPages, simtime.DefaultNVMe())
 	if err != nil {
@@ -90,6 +101,13 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 	}
 
 	switch args[0] {
+	case "fsck":
+		if err := db.VerifyContent(); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "ok: every blob matches its SHA-256 (recovery hashed %d, trusted %d as landed)\n",
+			rep.HashedBlobs, rep.TrustedBlobs)
+		return nil
 	case "init":
 		fmt.Fprintln(os.Stderr, "initialized", *dbPath)
 	case "put":
@@ -169,7 +187,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 
 // relKey validates the command's arity and returns its operands.
 func relKey(args []string) (rel, key string, err error) {
-	want := map[string]int{"init": 1, "put": 3, "get": 3, "ls": 2, "rm": 3, "stat": 3}
+	want := map[string]int{"init": 1, "put": 3, "get": 3, "ls": 2, "rm": 3, "stat": 3, "fsck": 1}
 	n, ok := want[args[0]]
 	if !ok || len(args) < n {
 		return "", "", errUsage

@@ -7,6 +7,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"blobdb/internal/core"
+	"blobdb/internal/simtime"
+	"blobdb/internal/storage"
 )
 
 // blobctl runs one invocation against db and returns its stdout.
@@ -77,5 +81,46 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if _, err := os.Stat(db); !os.IsNotExist(err) {
 		t.Errorf("a usage error created the database file (stat: %v)", err)
+	}
+}
+
+// TestFsckNamesCorruptKey: fsck passes on a healthy file, and after one
+// blob's first page is overwritten on disk — corruption startup recovery
+// trusts past, since the blob landed — it fails naming that key.
+func TestFsckNamesCorruptKey(t *testing.T) {
+	db := filepath.Join(t.TempDir(), "app.blobdb")
+	blobctl(t, db, nil, "init")
+	blobctl(t, db, bytes.Repeat([]byte("a"), 9000), "put", "images", "good.png")
+	blobctl(t, db, bytes.Repeat([]byte("b"), 9000), "put", "images", "rotten.png")
+	if out := blobctl(t, db, nil, "fsck", db); !strings.HasPrefix(out, "ok:") {
+		t.Fatalf("fsck of a healthy file printed %q", out)
+	}
+
+	dev, err := storage.OpenFileDevice(db, storage.DefaultPageSize, devPages, simtime.DefaultNVMe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	edb, _, err := core.RecoverDevice(dev, nil,
+		core.WithPoolPages(1<<13), core.WithLogPages(1<<12), core.WithCkptPages(1<<13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := edb.Begin(nil)
+	st, err := tx.BlobState("images", []byte("rotten.png"))
+	tx.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.WritePages(nil, st.Extents[0], 1, make([]byte, storage.DefaultPageSize)); err != nil {
+		t.Fatal(err)
+	}
+	edb.CloseCommitter()
+	if err := dev.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	err = run([]string{"-db", db, "fsck"}, nil, &bytes.Buffer{})
+	if !errors.Is(err, core.ErrContentMismatch) || !strings.Contains(err.Error(), "rotten.png") {
+		t.Fatalf("fsck of a corrupted file = %v, want a content mismatch naming rotten.png", err)
 	}
 }

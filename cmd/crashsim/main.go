@@ -106,6 +106,7 @@ func main() {
 	stats, failures := crashsim.Explore(cfg)
 	fmt.Printf("explored %d schedules across %d traces (seed %d): %d survivor ops, %d shed ops, %d batches verified at/below horizon, %d schedules with a stale tail\n",
 		stats.Schedules, stats.Traces, *seed, stats.SurvivorOps, stats.ShedOps, stats.Replicated, stats.StaleTail)
+	fmt.Println(stats.RecoveryLine())
 	if line := stats.TransferLine(); line != "" {
 		fmt.Println(line)
 	}

@@ -41,7 +41,9 @@ type WriterOpts struct {
 	// pinned at once. When false the writer keeps every frame pinned in a
 	// Pending, preserving the strict §III-C ordering (nothing reaches the
 	// device before the Blob State is durable) — the mode the deprecated
-	// []byte wrappers use.
+	// []byte wrappers use. Early-flushed extents are safe because recovery
+	// hashes the state of every key a transaction it cannot prove landed
+	// names, committed or not.
 	Stream bool
 	// Tee, if set, observes every chunk before it is absorbed — the
 	// physlog baseline appends the content to the WAL through it.
@@ -73,9 +75,11 @@ type WriterOpts struct {
 //
 // In Stream mode completed extents are flushed before the transaction
 // commits. That relaxes the §III-C flush-after-WAL ordering but remains
-// crash-safe: recovery validates every committed Blob State by SHA-256 and
-// rebuilds the allocator from live states, so early-flushed extents of an
-// uncommitted transaction are simply reclaimed.
+// crash-safe: recovery hashes, by SHA-256, the surviving Blob State of
+// every key that a transaction not yet covered by the extents-landed
+// watermark names (DESIGN.md §5, "Recovery validation") and rebuilds the
+// allocator from live states, so early-flushed extents of an uncommitted
+// transaction are simply reclaimed.
 //
 // A Writer is single-goroutine, like the transaction that owns it.
 type Writer struct {

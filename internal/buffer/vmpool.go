@@ -410,6 +410,20 @@ func (p *VMPool) evictOneLocked(m *simtime.Meter) error {
 		}
 		return p.evictClaimedLocked(m, e)
 	}
+	// The fairness draw can reject every sample when only extents far
+	// smaller than maxExtSize are resident; the pool is full only if no
+	// extent can be evicted at all.
+	for _, pid := range p.order {
+		e := p.resident.get(pid)
+		if e == nil || e.preventEvict.Load() || !e.isLoaded() || !e.claimEvict() {
+			continue
+		}
+		if e.preventEvict.Load() {
+			e.unclaimEvict()
+			continue
+		}
+		return p.evictClaimedLocked(m, e)
+	}
 	return fmt.Errorf("buffer: all extents pinned or protected: %w", ErrPoolFull)
 }
 

@@ -74,6 +74,17 @@ type committer struct {
 	// one flight is outstanding; flightMu guards the pointer.
 	flightMu sync.Mutex
 	flight   *commitFlight
+
+	// Extents-landed watermark (DESIGN.md §5, "Recovery validation"):
+	// landedW is the highest commit LSN whose batch's writes all landed;
+	// syncedW is the landedW a completed committer sync was started
+	// after, and loggedW the highest value logged in a RecLanded record
+	// (both committer goroutine only). After any commit failure the
+	// watermark never advances again.
+	landedW  atomic.Uint64
+	syncedW  uint64
+	loggedW  uint64
+	wStopped atomic.Bool
 }
 
 // commitFlight is one batch's in-flight extent write-back, run by one
@@ -365,27 +376,43 @@ func (db *DB) finishBatch(batch []*Txn) {
 
 	if len(live) > 0 {
 		db.ckptMu.Lock()
+		c := db.commit
 		flushed := live[:0]
-		for _, t := range live {
-			if err := t.log().CommitNoSync(nil, t.id); err != nil {
+		for i, t := range live {
+			var w uint64
+			if i == 0 {
+				// The watermark rides in the batch's first log flush.
+				var err error
+				if w, err = db.logWatermark(t); err != nil {
+					db.failCommit(t, err)
+					continue
+				}
+			}
+			lsn, err := t.log().CommitNoSync(nil, t.id)
+			if err != nil {
 				db.failCommit(t, err)
 				continue
 			}
+			t.commitLSN = lsn
+			c.loggedW = max(c.loggedW, w)
 			flushed = append(flushed, t)
 		}
 		if len(flushed) > 0 {
 			// The shared group-commit sync: one durability point for the
 			// whole batch. The previous batch's extent write-back is still
 			// in flight while this sync runs — that is the pipeline
-			// overlap.
+			// overlap. Every flight that landed before the sync starts is
+			// durable once it returns.
+			covered := c.landedW.Load()
 			if err := db.wal.Sync(nil); err != nil {
 				for _, t := range flushed {
 					db.failCommit(t, err)
 				}
 				flushed = flushed[:0]
 			} else {
-				db.commit.batches.Add(1)
-				db.commit.batchTxns.Add(int64(len(flushed)))
+				c.syncedW = max(c.syncedW, covered)
+				c.batches.Add(1)
+				c.batchTxns.Add(int64(len(flushed)))
 			}
 		}
 		if len(flushed) > 0 {
@@ -437,6 +464,7 @@ func (db *DB) runCommitFlight(f *commitFlight, txns []*Txn) {
 			}
 		}
 	}
+	db.land(txns)
 	close(f.landed)
 	for _, t := range txns {
 		if t.flushErr != nil {
@@ -459,9 +487,7 @@ func (db *DB) runCommitFlight(f *commitFlight, txns []*Txn) {
 
 // joinCommitFlight blocks until the outstanding flight's device writes
 // have completed (finalization may still be running). It bounds the
-// pipeline at one batch and doubles as the checkpoint writer's §III-C
-// barrier: after a join, no committed-but-unflushed extents precede the
-// current batch.
+// pipeline at one batch.
 func (db *DB) joinCommitFlight() {
 	if f := db.commit.currentFlight(); f != nil {
 		<-f.landed
@@ -485,6 +511,7 @@ func (db *DB) drainCommitFlight() {
 // extents' fate.
 func (db *DB) failCommit(t *Txn, err error) {
 	err = fmt.Errorf("core: commit txn %d: %w", t.id, err)
+	db.commit.stopWatermark()
 	db.commit.mu.Lock()
 	if db.commit.err == nil {
 		db.commit.err = err

@@ -72,6 +72,11 @@ type DB struct {
 	ckptStart storage.PID
 	ckptPages uint64
 	ckptNext  int // checkpoint slot the next image is written to; see recover.go
+	// ckptHead is the first page of the image the running checkpoint
+	// wrote, at ckptHeadPID; confirmCheckpoint rewrites it with the
+	// confirmation byte set once the image is durable.
+	ckptHead    []byte
+	ckptHeadPID storage.PID
 
 	mu   sync.RWMutex // guards rels
 	rels map[string]*Relation
@@ -85,9 +90,12 @@ type DB struct {
 	commit    *committer        // the group committer (commit.go)
 	queue     *storage.SubQueue // depth gate on the buffer pool's device commands
 
-	// ckptMu serializes checkpoints against commits so a checkpoint image
-	// never captures a commit's tree change without its extent flush.
+	// ckptMu is held while the committer finishes a batch.
 	ckptMu sync.Mutex
+	// landMu is held by a checkpoint while it captures the trees and by
+	// a commit flight while it marks its transactions landed (landed.go),
+	// so an image never sees a transaction half landed.
+	landMu sync.Mutex
 }
 
 // Relation is a named key/value relation whose values are inline bytes or
@@ -99,6 +107,11 @@ type Relation struct {
 
 	contentIdx  *ContentIndex
 	semanticIdx map[string]*SemanticIndex
+
+	// staged maps each key whose tree value a not-yet-landed transaction
+	// staged to that transaction and the key's last landed value; guarded
+	// by mu together with tree (landed.go).
+	staged map[string]*stagedKey
 }
 
 // Name returns the relation name.
@@ -144,6 +157,7 @@ func open(o options) (*DB, error) {
 	// one.
 	db.wal.CheckpointThreshold = int64(o.LogPages) * int64(o.Dev.PageSize()) / 2
 	db.wal.OnCheckpoint = db.writeCheckpoint
+	db.wal.OnCheckpointDurable = db.confirmCheckpoint
 
 	db.queue = storage.NewSubQueue(o.Dev, o.QueueDepth)
 	if o.HashTablePool {

@@ -30,6 +30,13 @@ var (
 	// ErrBlobWriterOpen reports Commit/CommitAsync on a transaction that
 	// still has an unsealed blob.Writer; Close or Abort the writer first.
 	ErrBlobWriterOpen = errors.New("core: transaction has an open blob writer")
+	// ErrCheckpointVersion reports a checkpoint slot holding an image of a
+	// format version this engine does not read. Recovery fails rather
+	// than read the slot as empty, which would drop the redo base.
+	ErrCheckpointVersion = errors.New("core: unknown checkpoint image version")
+	// ErrContentMismatch reports stored BLOB content that does not hash
+	// to its Blob State's SHA-256 (DB.VerifyContent).
+	ErrContentMismatch = errors.New("core: blob content does not match its SHA-256")
 )
 
 // Legacy names for the sentinels above, kept as aliases for one release so

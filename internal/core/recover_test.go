@@ -278,10 +278,11 @@ func TestRecoverManyRandomCrashPoints(t *testing.T) {
 }
 
 // TestRecoverHashesEachStateOnce pins recovery's hash-once rule: each
-// distinct Blob State is hashed exactly once across the Analysis pass and
-// the sweep, however many WAL records or tuples carry it, and the
-// validation workers' schedule leaks into neither the report nor the
-// recovered keys.
+// distinct Blob State a non-landed transaction names is hashed exactly once
+// across the Analysis pass and the sweep, however many WAL records or
+// tuples carry it; landed states — checkpoint-sourced and watermarked — are
+// trusted; and the validation workers' schedule leaks into neither the
+// report nor the recovered keys.
 func TestRecoverHashesEachStateOnce(t *testing.T) {
 	const pages = 1 << 13 // 32 MiB
 	dev := storage.NewMemDevice(ps, pages, nil)
@@ -295,7 +296,7 @@ func TestRecoverHashesEachStateOnce(t *testing.T) {
 		return c
 	}
 	want := map[string][]byte{}
-	var wantHashed int
+	var wantHashed, wantTrusted int
 	var wantBytes uint64
 	put := func(key string, c []byte) {
 		putCommitted(t, db, "r", []byte(key), c)
@@ -305,53 +306,64 @@ func TestRecoverHashesEachStateOnce(t *testing.T) {
 		wantHashed++
 		wantBytes += uint64(len(c))
 	}
-	state := func(key string) *blob.State {
-		tx := db.Begin(nil)
-		defer tx.Commit()
-		st, err := tx.BlobState("r", []byte(key))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
 
-	// Checkpoint-sourced states, hashed by the sweep alone. c3's first
-	// extent is then overwritten on the device, so the sweep drops it.
+	// Checkpoint-sourced states in a confirmed image: trusted.
 	for i := 0; i < 4; i++ {
-		c := newContent()
-		put(fmt.Sprintf("c%d", i), c)
-		hashedOnce(c)
+		put(fmt.Sprintf("c%d", i), newContent())
+		wantTrusted++
 	}
 	if err := db.WAL().Checkpoint(nil); err != nil {
 		t.Fatal(err)
 	}
-	garbage := make([]byte, ps)
-	rng.Read(garbage)
-	if err := dev.WritePages(nil, state("c3").Extents[0], 1, garbage); err != nil {
-		t.Fatal(err)
+	// WAL-sourced states whose batches a later watermark covers: trusted.
+	for i := 0; i < 3; i++ {
+		put(fmt.Sprintf("l%d", i), newContent())
+		wantTrusted++
 	}
-	delete(want, "c3")
-
-	// WAL-sourced states, more than there are validation workers: hashed
-	// by the Analysis pass, not again by the sweep.
-	for i := 0; i < runtime.GOMAXPROCS(0)+3; i++ {
-		c := newContent()
-		put(fmt.Sprintf("w%02d", i), c)
-		hashedOnce(c)
-	}
-	// Two dedup-sharing keys hold byte-identical states: one hash.
 	shared := newContent()
 	put("d0", shared)
-	put("d1", shared)
-	hashedOnce(shared)
-	if !bytes.Equal(state("d0").Encode(), state("d1").Encode()) {
-		t.Fatal("identical PUTs did not share one Blob State")
-	}
-	// A torn overwrite: the failed last writer is hashed by the Analysis
-	// pass, the older version it leaves in place by the sweep.
+	wantTrusted++
+	// The last batch the watermark covers is d0's: the next two batches
+	// log it and are not covered themselves. An overwrite whose last writer
+	// then fails: the failed state is hashed by the Analysis pass, the
+	// older version it leaves in place by the sweep.
 	old := newContent()
 	put("t", old)
 	hashedOnce(old)
+	// One batch of more states than there are validation workers, plus a
+	// key sharing d0's state: hashed by the Analysis pass, not again by
+	// the sweep, and the shared state once.
+	db.HoldCommits()
+	var acks []<-chan error
+	commitHeld := func(key string, c []byte) {
+		tx := db.Begin(nil)
+		if err := putBlob(tx, "r", []byte(key), c); err != nil {
+			t.Fatal(err)
+		}
+		ack, err := tx.CommitAsync()
+		if err != nil {
+			t.Fatal(err)
+		}
+		acks = append(acks, ack)
+		want[key] = c
+	}
+	for i := 0; i < runtime.GOMAXPROCS(0)+3; i++ {
+		c := newContent()
+		commitHeld(fmt.Sprintf("w%02d", i), c)
+		hashedOnce(c)
+	}
+	commitHeld("d1", shared)
+	hashedOnce(shared)
+	db.ReleaseCommits()
+	for _, ack := range acks {
+		if err := <-ack; err != nil {
+			t.Fatal(err)
+		}
+	}
+	st0, st1 := stateOf(t, db, "d0"), stateOf(t, db, "d1")
+	if !bytes.Equal(st0.Encode(), st1.Encode()) {
+		t.Fatal("identical PUTs did not share one Blob State")
+	}
 	torn := newContent()
 	tx := db.Begin(nil)
 	if err := putBlob(tx, "r", []byte("t"), torn); err != nil {
@@ -374,12 +386,12 @@ func TestRecoverHashesEachStateOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.HashedBlobs != wantHashed || rep.HashedBytes != wantBytes {
-			t.Errorf("run %d: hashed %d states / %d bytes, want %d / %d (each distinct state once)",
-				run, rep.HashedBlobs, rep.HashedBytes, wantHashed, wantBytes)
+		if rep.HashedBlobs != wantHashed || rep.HashedBytes != wantBytes || rep.TrustedBlobs != wantTrusted {
+			t.Errorf("run %d: hashed %d states / %d bytes and trusted %d, want %d / %d and %d (each named state once)",
+				run, rep.HashedBlobs, rep.HashedBytes, rep.TrustedBlobs, wantHashed, wantBytes, wantTrusted)
 		}
-		if rep.FailedBlobs != 1 || rep.DroppedTuples != 1 {
-			t.Errorf("run %d: FailedBlobs=%d DroppedTuples=%d, want 1 and 1", run, rep.FailedBlobs, rep.DroppedTuples)
+		if rep.FailedBlobs != 1 || rep.DroppedTuples != 0 {
+			t.Errorf("run %d: FailedBlobs=%d DroppedTuples=%d, want 1 and 0", run, rep.FailedBlobs, rep.DroppedTuples)
 		}
 		if run == 0 {
 			first = *rep
@@ -404,25 +416,60 @@ func TestRecoverHashesEachStateOnce(t *testing.T) {
 		if got != len(want) {
 			t.Errorf("run %d: recovered %d keys, want %d", run, got, len(want))
 		}
+		if err := db2.VerifyContent(); err != nil {
+			t.Errorf("run %d: %v", run, err)
+		}
 	}
+}
+
+// stateOf returns key's committed Blob State in relation "r".
+func stateOf(t *testing.T, db *DB, key string) *blob.State {
+	t.Helper()
+	tx := db.Begin(nil)
+	defer tx.Commit()
+	st, err := tx.BlobState("r", []byte(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // TestRecoverWithPoolForOneExtent recovers into a pool that holds one
 // blob's largest extent but not one per validation worker. Workers then
 // find the pool pinned full by each other; every committed blob must
-// still validate, as it does when one goroutine hashes them in turn.
+// still validate, as it does when one goroutine hashes them in turn. The
+// blobs commit as one batch, which no watermark covers, so recovery hashes
+// them all.
 func TestRecoverWithPoolForOneExtent(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const pages = 1 << 12
-	o := options{Dev: storage.NewMemDevice(ps, pages, nil), PoolPages: 128, LogPages: 1 << 9, CkptPages: 1 << 9}
+	// The writing engine's pool holds the whole batch pinned; recovery
+	// runs with the small one.
+	o := options{Dev: storage.NewMemDevice(ps, pages, nil), PoolPages: 2048, LogPages: 1 << 9, CkptPages: 1 << 9}
 	db := openTest(t, o)
 	db.CreateRelation("r")
 	rng := rand.New(rand.NewSource(23))
 	const blobs = 8
+	db.HoldCommits()
+	var acks []<-chan error
 	for i := 0; i < blobs; i++ {
 		c := make([]byte, 250<<10) // tiers 1..32 pages: the largest extent is 32 pages
 		rng.Read(c)
-		putCommitted(t, db, "r", []byte(fmt.Sprintf("k%d", i)), c)
+		tx := db.Begin(nil)
+		if err := putBlob(tx, "r", []byte(fmt.Sprintf("k%d", i)), c); err != nil {
+			t.Fatal(err)
+		}
+		ack, err := tx.CommitAsync()
+		if err != nil {
+			t.Fatal(err)
+		}
+		acks = append(acks, ack)
+	}
+	db.ReleaseCommits()
+	for _, ack := range acks {
+		if err := <-ack; err != nil {
+			t.Fatal(err)
+		}
 	}
 	o.PoolPages = 40
 	_, rep, err := recoverDB(o, nil)

@@ -22,8 +22,9 @@ import (
 
 // ApplyReplicated replays one committed primary transaction — its logical
 // records in LSN order — as one transaction on this engine. Physical record
-// types (RecBlobData, RecBlobDelta, RecFreeExtent) and control records are
-// ignored: they describe the primary's device, not the logical state.
+// types (RecBlobData, RecBlobDelta, RecFreeExtent) and control records
+// (RecRefDelta, the RecLanded watermark) are ignored: they describe the
+// primary's device, not the logical state.
 //
 // The apply is idempotent: replaying a record over an already-applied state
 // converges to the same tuples, so a resync that overlaps the record stream

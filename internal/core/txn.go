@@ -46,6 +46,7 @@ type Txn struct {
 	waitC         chan error    // committer's durability ack
 	inflightBytes int64         // pinned bytes, snapshotted at enqueue
 	flushErr      error         // extent write-back failure, set on the flight
+	commitLSN     uint64        // LSN of the commit record, set by the committer
 }
 
 // undoOp restores a tree entry on abort.
@@ -147,7 +148,9 @@ func parseHeapPayload(p []byte) (rel string, key, value []byte, err error) {
 	return rel, p[:kl], p[kl:], nil
 }
 
-// applyTree applies a tree write in memory and records the undo entry.
+// applyTree applies a tree write in memory, registers the key as staged
+// by t until t lands, and records the undo entry. The caller has taken
+// t's WAL writer, which a checkpoint reads through the registry.
 func (t *Txn) applyTree(r *Relation, key, taggedValue []byte) {
 	r.mu.Lock()
 	// The tree never mutates stored value slices (Put swaps pointers), so
@@ -158,6 +161,10 @@ func (t *Txn) applyTree(r *Relation, key, taggedValue []byte) {
 	} else {
 		r.tree.Put(key, taggedValue)
 	}
+	if !hadOld {
+		old = nil
+	}
+	r.stage(t, key, old)
 	r.mu.Unlock()
 	t.undo = append(t.undo, undoOp{rel: r, key: append([]byte(nil), key...), hadOld: hadOld, oldValue: old})
 	t.wrote = true
@@ -166,9 +173,10 @@ func (t *Txn) applyTree(r *Relation, key, taggedValue []byte) {
 // stageWrite applies a tree write in memory, records the undo entry, and
 // logs the logical record.
 func (t *Txn) stageWrite(r *Relation, key, taggedValue []byte, recType wal.RecType) error {
+	w := t.log()
 	t.applyTree(r, key, taggedValue)
 	payload := heapPutPayload(r.name, key, taggedValue)
-	if _, err := t.log().AppendLSN(t.meter, t.id, recType, payload); err != nil {
+	if _, err := w.AppendLSN(t.meter, t.id, recType, payload); err != nil {
 		return err
 	}
 	return nil
@@ -662,6 +670,7 @@ func (t *Txn) rollback() {
 		} else {
 			u.rel.tree.Delete(u.key)
 		}
+		u.rel.unstage(t, u.key)
 		u.rel.mu.Unlock()
 	}
 	t.db.rebuildIndexTouched(t.undo)
@@ -706,7 +715,10 @@ func CrashBeforeExtentFlush(t *Txn) error {
 	w := t.log()
 	defer w.Close()
 	t.db.endTxn(t.id)
-	if err := w.CommitNoSync(t.meter, t.id); err != nil {
+	// This commit record bypasses the committer and its extents never
+	// land, so no later flight may advance the watermark past it.
+	t.db.commit.stopWatermark()
+	if _, err := w.CommitNoSync(t.meter, t.id); err != nil {
 		return err
 	}
 	return t.db.wal.Sync(t.meter)

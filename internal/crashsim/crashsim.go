@@ -213,6 +213,9 @@ type Result struct {
 	Resyncs    uint64               // replica: snapshot resyncs (checkpoint truncation raced the tail)
 	Transfers  core.TransferStats   // core.Install outcomes on every engine: reshard moves, replica applies
 	Report     *core.RecoveryReport // the crashed shard's recovery; nil when a replica was promoted
+	Recovered  int                  // images recovered and content-verified
+	Trusted    int                  // Blob States those recoveries trusted as landed
+	Hashed     int                  // Blob States those recoveries hashed
 }
 
 // runner executes one schedule.
@@ -477,6 +480,11 @@ func (r *runner) verify(res *Result, record, rebalanced bool, ringBefore *shard.
 			if i == s.CrashShard {
 				res.Report = rep
 			}
+			if rep != nil {
+				res.Recovered++
+				res.Trusted += rep.TrustedBlobs
+				res.Hashed += rep.HashedBlobs
+			}
 			if err != nil {
 				return fmt.Errorf("shard %d: %w", i, err)
 			}
@@ -670,8 +678,10 @@ func seedEviction(db *core.DB, seed int64) {
 // content-addressed dedup, several tuples may reference one sequence, and
 // double-counting would mask exactly the double-free/leak bugs this
 // harness exists to catch. The refcount ledger itself is cross-checked
-// against a full recount (core.CheckLedger). The caller judges the
-// snapshot against its reference model.
+// against a full recount (core.CheckLedger), and every surviving Blob
+// State — trusted as landed or hashed at startup — must validate
+// (core.DB.VerifyContent). The caller judges the snapshot against its
+// reference model.
 func recoverAndCheck(rdev *storage.MemDevice, opts []core.Option) (*core.RecoveryReport, map[string][]byte, error) {
 	db, rep, err := core.RecoverDevice(rdev, nil, opts...)
 	if err != nil {
@@ -700,6 +710,9 @@ func recoverAndCheck(rdev *storage.MemDevice, opts []core.Option) (*core.Recover
 	}
 	if err := db.CheckLedger(); err != nil {
 		return rep, snap, fmt.Errorf("crashsim: refcount ledger inconsistent after recovery: %w", err)
+	}
+	if err := db.VerifyContent(); err != nil {
+		return rep, snap, fmt.Errorf("crashsim: recovered content does not validate (%d states trusted, %d hashed): %w", rep.TrustedBlobs, rep.HashedBlobs, err)
 	}
 	return rep, snap, nil
 }

@@ -37,6 +37,7 @@ func sweep(t *testing.T, cfg Config, min int) Stats {
 	stats, failures := Explore(cfg)
 	t.Logf("explored %d schedules across %d traces (seed %d): %d survivor ops, %d shed ops, %d batches verified at/below horizon, %d schedules with a stale tail",
 		stats.Schedules, stats.Traces, cfg.Seed, stats.SurvivorOps, stats.ShedOps, stats.Replicated, stats.StaleTail)
+	t.Log(stats.RecoveryLine())
 	if line := stats.TransferLine(); line != "" {
 		t.Log(line)
 	}
@@ -238,8 +239,8 @@ var recordPins = []struct {
 	ops   int
 	hash  uint64
 }{
-	{7338701143958340983, false, 120, 0x82260062b76262bd},
-	{8940310146990858404, true, 110, 0xf9e5bfef96b6c6e6},
+	{7338701143958340983, false, 135, 0x3b6cb2c2f413ba76},
+	{8940310146990858404, true, 118, 0xaf0c2d5eca160f74},
 }
 
 // regressionSchedules pins crash points that surfaced real recovery bugs.
@@ -247,17 +248,19 @@ var recordPins = []struct {
 //
 // Torn-second-checkpoint data loss: before checkpoints were dual-slot
 // (core/recover.go), the single checkpoint image was overwritten in
-// place. Crash point 68 of this trace lands inside the SECOND checkpoint
-// image write (the record pass writes checkpoint images at ops 55, 68,
-// 71 and 117): with one slot the epoch-1 redo base tears (CRC fails),
-// recovery falls back to epoch 0, and the WAL scan — which requires an
-// exact epoch match — filters out every epoch-1 flush block. Recovery
-// came back empty: total loss of all committed blobs. Op 70, between the
-// second and third image writes, where this trace first surfaced the
-// bug, stays pinned under both tear modes.
+// place. Crash point 74 of this trace lands inside the SECOND checkpoint
+// image write (the record pass writes checkpoint images at ops 56, 74,
+// 83 and 131, each followed by its sync and, after that, the write of its
+// confirmation byte): with one slot the only redo base tears (CRC fails)
+// after the previous checkpoint truncated the log records it covered, and
+// committed blobs vanish. Op 75, the sync right after that image write, is the point
+// between the second and third image writes where the same loss shows.
+// With the one-slot layout restored on a copy, both points lose a
+// committed key under the scramble tear; their ordered-tear twins stay
+// pinned as well.
 // Unconditionally-replayed refcount decrement double-free: apply-time
 // ledger decrements were originally logged under txn id 0 and replayed
-// unconditionally. Crash point 108 of this dedup trace syncs a
+// unconditionally. Crash point 116 of this dedup trace syncs a
 // transaction's commit record, applies its deferred frees (logging a
 // decrement against a 3-way-shared extent), then tears the transaction's
 // own extent writes — recovery marks it failed and reverts its tuple to
@@ -265,17 +268,19 @@ var recordPins = []struct {
 // replayed anyway: three surviving references, ledger count two, one
 // free away from recycling an extent under two live blobs. Decrements
 // now carry the staging transaction's id and replay under the same
-// committed-and-validated rule as increments.
+// committed-and-validated rule as increments. With decrements replayed
+// unconditionally on a copy, point 116 fails recovery under the scramble
+// tear ("referenced by 3 tuples but ledger replayed only 2").
 var regressionSchedules = []struct {
 	s     Schedule
 	dedup bool
 }{
-	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 68, Mode: storage.TearOrdered}, false},
-	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 68, Mode: storage.TearScramble}, false},
-	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 70, Mode: storage.TearOrdered}, false},
-	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 70, Mode: storage.TearScramble}, false},
-	{Schedule{TraceSeed: 8940310146990858404, CrashOp: 108, Mode: storage.TearScramble}, true},
-	{Schedule{TraceSeed: 8940310146990858404, CrashOp: 108, Mode: storage.TearOrdered}, true},
+	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 74, Mode: storage.TearOrdered}, false},
+	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 74, Mode: storage.TearScramble}, false},
+	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 75, Mode: storage.TearOrdered}, false},
+	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 75, Mode: storage.TearScramble}, false},
+	{Schedule{TraceSeed: 8940310146990858404, CrashOp: 116, Mode: storage.TearScramble}, true},
+	{Schedule{TraceSeed: 8940310146990858404, CrashOp: 116, Mode: storage.TearOrdered}, true},
 }
 
 func TestRegressionSchedules(t *testing.T) {

@@ -58,6 +58,16 @@ type Stats struct {
 	Replicated  int                // acked batches exactly verified at or below a replica's horizon, summed
 	StaleTail   int                // schedules where the crash lost unreplicated batches above the horizon (the allowed tail)
 	Transfers   core.TransferStats // core.Install outcomes (reshard moves, replica applies), summed
+	Recovered   int                // images recovered and content-verified, summed
+	Trusted     int                // Blob States those recoveries trusted as landed, summed
+	Hashed      int                // Blob States those recoveries hashed, summed
+}
+
+// RecoveryLine summarizes what the sweep's recoveries trusted and hashed;
+// every recovered image also passed core.DB.VerifyContent.
+func (s Stats) RecoveryLine() string {
+	return fmt.Sprintf("recoveries: %d, %d states trusted as landed, %d hashed, content verified after each",
+		s.Recovered, s.Trusted, s.Hashed)
 }
 
 // TransferLine summarizes the sweep's content transfers, or "" when the
@@ -111,6 +121,9 @@ func Explore(cfg Config) (Stats, []Failure) {
 			return nil
 		}
 		stats.Replicated += res.Replicated
+		stats.Recovered += res.Recovered
+		stats.Trusted += res.Trusted
+		stats.Hashed += res.Hashed
 		addTransfers(&stats.Transfers, res.Transfers)
 		if res.Replicated < res.Acked {
 			stats.StaleTail++

@@ -40,6 +40,8 @@ func (r *runner) exec(op traceOp) error {
 		return r.read(op.subs[0])
 	case opRelocate:
 		return r.eachLive(r.relocate)
+	case opStagedCheckpoint, opStagedCheckpointAbort:
+		return r.stagedCheckpoint(op.subs[0], op.kind == opStagedCheckpoint)
 	default:
 		return fmt.Errorf("crashsim: unknown op kind %v", op.kind)
 	}
@@ -253,6 +255,46 @@ func (r *runner) relocate(id int, db *core.DB) error {
 		}
 	}
 	return nil
+}
+
+// stagedCheckpoint stages a put on its key's shard and takes that engine's
+// checkpoint while the put is staged but not committed — the window a
+// ring-full checkpoint inside another transaction's commit flush opens —
+// then commits the put as its own batch or aborts it. The image holds the
+// staged value; recovery must surface it only if the put committed.
+func (r *runner) stagedCheckpoint(sub subOp, commit bool) error {
+	sh, release, ok, err := r.route(sub.key)
+	if !ok || err != nil {
+		return err
+	}
+	defer release()
+	id, db := sh.ID(), sh.DB()
+	tx := db.Begin(nil)
+	w, err := tx.CreateBlob(nil, relName, []byte(sub.key))
+	if err != nil {
+		tx.Abort()
+		return r.noteCrash(id, err)
+	}
+	if commit {
+		r.models[id].StagePut(sub.key, sub.full)
+	}
+	if err := stream(w, sub.write); err != nil {
+		w.Abort()
+		tx.Abort()
+		return r.noteCrash(id, err)
+	}
+	if err := w.Close(); err != nil {
+		tx.Abort()
+		return r.noteCrash(id, err)
+	}
+	if err := db.WAL().Checkpoint(nil); err != nil {
+		tx.Abort()
+		return r.noteCrash(id, err)
+	}
+	if !commit {
+		return tx.Abort()
+	}
+	return r.commitBatch(id, []*core.Txn{tx}, []string{sub.key})
 }
 
 func (r *runner) read(sub subOp) error {

@@ -43,6 +43,13 @@ const (
 	// copy/remap window must recover with the key intact and the
 	// allocator/ledger clean.
 	opRelocate
+	// opStagedCheckpoint stages a put, takes its shard's checkpoint while
+	// the put is staged but not committed, then commits it: the image
+	// holds a tree change whose extents have not landed.
+	opStagedCheckpoint
+	// opStagedCheckpointAbort is opStagedCheckpoint aborted after the
+	// checkpoint: the image holds a value that must never surface.
+	opStagedCheckpointAbort
 )
 
 func (k opKind) String() string {
@@ -71,6 +78,10 @@ func (k opKind) String() string {
 		return "put-dup-abort"
 	case opRelocate:
 		return "relocate"
+	case opStagedCheckpoint:
+		return "staged-checkpoint"
+	case opStagedCheckpointAbort:
+		return "staged-checkpoint-abort"
 	default:
 		return fmt.Sprintf("op(%d)", int(k))
 	}
@@ -94,12 +105,19 @@ type traceOp struct {
 // enough that keys are replaced, grown, and deleted repeatedly.
 const keySpace = 20
 
+// stagedKeys is the number of keys the staged-checkpoint ops overwrite,
+// apart from the trace's other keys. They draw keys and contents from an
+// rng of their own, so every other op of a trace is the one its seed
+// draws without them.
+const stagedKeys = 2
+
 // genTrace precomputes the operation list for a trace seed. With dedup
 // set, the roll table shifts toward sharing-heavy histories: duplicate
 // puts (committed and aborted), deletes of shared sequences, divergent
 // appends/updates on sharers, and relocation rounds.
 func genTrace(seed int64, steps int, dedup bool) []traceOp {
 	rng := rand.New(rand.NewSource(seed))
+	side := rand.New(rand.NewSource(^seed))
 	shadow := map[string][]byte{}
 	present := func() []string {
 		out := make([]string, 0, len(shadow))
@@ -227,8 +245,17 @@ func genTrace(seed int64, steps int, dedup bool) []traceOp {
 				key: k, full: full, off: uint64(off), patch: patch,
 			}}})
 			shadow[k] = full
-		case roll < 92: // checkpoint
+		case roll < 88: // checkpoint
 			ops = append(ops, traceOp{kind: opCheckpoint})
+		case roll < 92: // checkpoint while a put is staged
+			n := 256 + side.Intn(12<<10)
+			c := make([]byte, n)
+			side.Read(c)
+			kind := opStagedCheckpoint
+			if side.Intn(3) == 0 {
+				kind = opStagedCheckpointAbort
+			}
+			ops = append(ops, traceOp{kind: kind, subs: []subOp{{key: fmt.Sprintf("s%d", side.Intn(stagedKeys)), full: c, write: c}}})
 		default: // read-back check
 			k, ok := pick()
 			if !ok {

@@ -8,8 +8,10 @@ import (
 	"sync"
 	"testing"
 
+	"blobdb/internal/blob"
 	"blobdb/internal/core"
 	"blobdb/internal/storage"
+	"blobdb/internal/wal"
 )
 
 func newEngine(t *testing.T) *core.DB {
@@ -436,6 +438,58 @@ func TestReplicaTailsConcurrentWriters(t *testing.T) {
 			if _, etag, ok := readBlob(t, rep.DB(), "r", k); !ok || etag != etagOf(t, primary, "r", k) {
 				t.Fatalf("key %q: replica ETag %q (present %v) differs from the primary's", k, etag, ok)
 			}
+		}
+	}
+}
+
+// TestReplicaTailsAcrossWatermarkRecords: the primary's committer logs
+// extents-landed watermark records (wal.RecLanded, transaction id 0) in
+// the batches a replica pulls. The replica skips them and ends with rows
+// identical to the primary's.
+func TestReplicaTailsAcrossWatermarkRecords(t *testing.T) {
+	ctx := context.Background()
+	primary, rep := newPair(t)
+	want := map[string][]byte{}
+	for i := 0; i < 12; i++ {
+		key := fmt.Sprintf("k%02d", i%8)
+		want[key] = bytes.Repeat([]byte{byte('a' + i)}, 3000+i*700)
+		putBlob(t, primary, "r", key, want[key])
+		if i%3 == 2 {
+			if _, err := rep.Sync(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := rep.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, _, err := primary.WAL().ReadFrom(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marks := 0
+	for _, r := range recs {
+		if r.Type == wal.RecLanded {
+			marks++
+		}
+	}
+	if marks == 0 {
+		t.Fatal("the primary logged no watermark record; the test covers nothing")
+	}
+	if rep.AppliedLSN() != primary.WAL().DurableLSN() {
+		t.Errorf("applied %d, primary durable %d", rep.AppliedLSN(), primary.WAL().DurableLSN())
+	}
+	n := 0
+	tx := rep.DB().Begin(nil)
+	tx.Scan("r", nil, func(k, _ []byte, _ *blob.State) bool { n++; return true })
+	tx.Commit()
+	if n != len(want) {
+		t.Errorf("replica holds %d rows, want %d", n, len(want))
+	}
+	for key, c := range want {
+		got, etag, ok := readBlob(t, rep.DB(), "r", key)
+		if !ok || !bytes.Equal(got, c) || etag != etagOf(t, primary, "r", key) {
+			t.Errorf("key %q diverged on the replica (present %v)", key, ok)
 		}
 	}
 }

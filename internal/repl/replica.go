@@ -111,7 +111,10 @@ func (r *Replica) apply(ctx context.Context, recs []wal.Record) error {
 			delta[rec.TxnID] = append(delta[rec.TxnID], rec)
 		default:
 			// RecBegin, RecCheckpoint, RecBlobData, RecBlobDelta,
-			// RecFreeExtent: control or primary-device-physical.
+			// RecFreeExtent, RecRefDelta, RecLanded: control or
+			// primary-device-physical. A RecLanded watermark speaks of
+			// the primary's extent writes; the replica's own committer
+			// logs its own.
 		}
 	}
 	// Aborted transactions never apply; drop their buffers up front.

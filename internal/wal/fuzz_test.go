@@ -42,6 +42,30 @@ func FuzzWALRecord(f *testing.F) {
 		f.Add(torn)
 	}
 	{
+		// A batch flush carrying the extents-landed watermark ahead of a
+		// transaction's records, as the group committer logs it.
+		dev := storage.NewMemDevice(pageSize, logPages, nil)
+		m := NewManager(dev, 0, logPages)
+		w := m.NewWriter()
+		var lw [8]byte
+		binary.LittleEndian.PutUint64(lw[:], 3)
+		if _, err := w.AppendLSN(nil, 0, RecLanded, lw[:]); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := w.AppendLSN(nil, 9, RecBlobState, []byte("after-watermark")); err != nil {
+			f.Fatal(err)
+		}
+		if err := commitSync(w, nil, 9); err != nil {
+			f.Fatal(err)
+		}
+		w.Close()
+		img := make([]byte, logPages*pageSize)
+		if err := dev.ReadPages(nil, 0, logPages, img); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img)
+	}
+	{
 		// A lone flush block with a huge declared payload length and no
 		// segment header before it.
 		hdr := make([]byte, flushHeaderLen)

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"sort"
+	"sync/atomic"
 
 	"blobdb/internal/simtime"
 	"blobdb/internal/storage"
@@ -175,6 +176,22 @@ func (w *Manager) Recover(m *simtime.Meter, after uint64, fn func(Record) bool) 
 		w.lastSlot = found[n-1].slot
 	}
 	return info, nil
+}
+
+// AdvanceLSN raises the LSN counters and the truncation horizon to at
+// least lsn, as Recover(m, lsn, fn) sets them. A recovery that scans from
+// LSN 0 — to see commit records a checkpoint image's LSN covers — calls it
+// with the image's checkpoint LSN, so new records and the next checkpoint
+// LSN stay above the image's.
+func (w *Manager) AdvanceLSN(lsn uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, c := range []*atomic.Uint64{&w.lastLSN, &w.flushedLSN, &w.syncedLSN} {
+		if lsn > c.Load() {
+			c.Store(lsn)
+		}
+	}
+	w.truncLSN = max(w.truncLSN, lsn)
 }
 
 // Scan walks the live segments in id order, invoking fn for each record

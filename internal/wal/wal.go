@@ -52,6 +52,10 @@ const (
 	RecFreeExtent // extent freed at commit
 	RecCheckpoint
 	RecRefDelta // refcount ledger mutation batch (dedup share / deferred release)
+	// RecLanded carries the extents-landed watermark: an 8-byte commit LSN
+	// at or below which every committed transaction's extent writes are
+	// durable. Logged by the group committer with transaction id 0.
+	RecLanded
 )
 
 // Record is one framed log record.
@@ -123,6 +127,11 @@ type Manager struct {
 	// assigned before the checkpoint; persist it so recovery replays only
 	// records above it.
 	OnCheckpoint func(m *simtime.Meter, ckptLSN uint64) error
+	// OnCheckpointDurable, if set, is invoked (with the manager lock held)
+	// once the sync after OnCheckpoint has returned, before the log is
+	// truncated: a write it issues reaches the device only after the
+	// image is durable.
+	OnCheckpointDurable func(m *simtime.Meter) error
 	// OnSeal, if set, is invoked (with the manager lock held) after a
 	// segment is sealed; replication uses it to nudge shipping.
 	OnSeal func(info SegmentInfo)
@@ -289,14 +298,23 @@ type Writer struct {
 	mgr    *Manager
 	buf    []byte
 	maxLSN uint64 // highest LSN staged in buf
+
+	commitLSN atomic.Uint64 // LSN of the commit record CommitNoSync appended
+	written   atomic.Uint64 // highest LSN of a block this writer wrote to the device
 }
+
+// initialWriterBuf is a fresh writer buffer's capacity. Buffers grow by
+// doubling up to the manager's buffer cap, so a transaction that logs a
+// few small records never allocates the full cap; flush points depend on
+// the cap alone (effCap), not on how far a buffer has grown.
+const initialWriterBuf = 4 << 10
 
 // NewWriter creates a worker-local writer backed by a pooled buffer.
 func (w *Manager) NewWriter() *Writer {
-	if b, ok := w.bufPool.Get().(*[]byte); ok && cap(*b) == w.bufferCap {
+	if b, ok := w.bufPool.Get().(*[]byte); ok {
 		return &Writer{mgr: w, buf: (*b)[:0]}
 	}
-	return &Writer{mgr: w, buf: make([]byte, 0, w.bufferCap)}
+	return &Writer{mgr: w, buf: make([]byte, 0, min(initialWriterBuf, w.bufferCap))}
 }
 
 // Close returns the writer's buffer to the pool. The writer must not be
@@ -310,20 +328,29 @@ func (l *Writer) Close() {
 	l.buf = nil
 }
 
-// BufferCap returns the writer's buffer capacity.
+// BufferCap returns the capacity the writer's buffer has grown to.
 func (l *Writer) BufferCap() int { return cap(l.buf) }
 
 // Buffered returns the bytes currently staged in the writer.
 func (l *Writer) Buffered() int { return len(l.buf) }
 
 // effCap is the largest staged byte count the writer flushes as one block:
-// the buffer capacity, bounded by what fits in one segment slot.
+// the manager's buffer cap, bounded by what fits in one segment slot.
 func (l *Writer) effCap() int {
-	n := l.mgr.maxFlushPayload()
-	if c := cap(l.buf); c < n {
-		n = c
+	return min(l.mgr.maxFlushPayload(), l.mgr.bufferCap)
+}
+
+// reserve grows the buffer to hold n more bytes: doubling, but never past
+// effCap, which the caller has already checked n against.
+func (l *Writer) reserve(n int) {
+	need := len(l.buf) + n
+	if need <= cap(l.buf) {
+		return
 	}
-	return n
+	c := min(max(2*cap(l.buf), need), l.effCap())
+	nb := make([]byte, len(l.buf), c)
+	copy(nb, l.buf)
+	l.buf = nb
 }
 
 // AppendLSN frames a record into the worker buffer, returning its
@@ -341,6 +368,7 @@ func (l *Writer) AppendLSN(m *simtime.Meter, txnID uint64, t RecType, payload []
 			return 0, err
 		}
 	}
+	l.reserve(need)
 	lsn := l.mgr.lastLSN.Add(1)
 	var hdr [recHeaderSize]byte
 	binary.LittleEndian.PutUint64(hdr[0:], lsn)
@@ -381,7 +409,7 @@ func (l *Writer) Flush(m *simtime.Meter) error {
 	if len(l.buf) == 0 {
 		return nil
 	}
-	if err := l.mgr.writeOut(m, l.buf, l.maxLSN); err != nil {
+	if err := l.mgr.writeOut(m, l, l.maxLSN); err != nil {
 		return err
 	}
 	l.buf = l.buf[:0]
@@ -390,14 +418,26 @@ func (l *Writer) Flush(m *simtime.Meter) error {
 }
 
 // CommitNoSync appends the commit record and flushes the buffer to the log
-// region without waiting for durability. The caller must make the log
-// durable with Manager.Sync before acknowledging the transaction — the
-// group committer uses this so one sync covers a whole batch.
-func (l *Writer) CommitNoSync(m *simtime.Meter, txnID uint64) error {
-	if _, err := l.AppendLSN(m, txnID, RecCommit, nil); err != nil {
-		return err
+// region without waiting for durability, returning the commit record's
+// LSN. The caller must make the log durable with Manager.Sync before
+// acknowledging the transaction — the group committer uses this so one
+// sync covers a whole batch.
+func (l *Writer) CommitNoSync(m *simtime.Meter, txnID uint64) (uint64, error) {
+	lsn, err := l.AppendLSN(m, txnID, RecCommit, nil)
+	if err != nil {
+		return 0, err
 	}
-	return l.Flush(m)
+	l.commitLSN.Store(lsn)
+	return lsn, l.Flush(m)
+}
+
+// CommitWritten reports whether the commit record CommitNoSync appended is
+// in a block already written to the log region (not necessarily synced).
+// Inside OnCheckpoint, which runs under the manager lock, the answer
+// cannot change while the hook runs.
+func (l *Writer) CommitWritten() bool {
+	c := l.commitLSN.Load()
+	return c != 0 && l.written.Load() >= c
 }
 
 // Sync makes every flushed record durable. Concurrent callers share one
@@ -465,12 +505,14 @@ func decodeSegmentHeader(buf []byte) (id, baseLSN uint64, ok bool) {
 	return id, baseLSN, true
 }
 
-// writeOut appends buf to the tailing segment as one framed flush block,
-// rotating (and, when the slot ring is full, checkpointing) first if the
-// block does not fit.
-func (w *Manager) writeOut(m *simtime.Meter, buf []byte, maxLSN uint64) error {
+// writeOut appends l's buffer to the tailing segment as one framed flush
+// block, rotating (and, when the slot ring is full, checkpointing) first if
+// the block does not fit. The writer's written LSN advances before a
+// threshold checkpoint runs, so that checkpoint sees the block as written.
+func (w *Manager) writeOut(m *simtime.Meter, l *Writer, maxLSN uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	buf := l.buf
 	total := flushHeaderLen + len(buf)
 	pages := (total + w.pageSize - 1) / w.pageSize
 	if pages > w.segPages-2 {
@@ -498,6 +540,7 @@ func (w *Manager) writeOut(m *simtime.Meter, buf []byte, maxLSN uint64) error {
 		return err
 	}
 	w.cur.writePos += pages
+	l.written.Store(maxLSN)
 	if maxLSN > w.cur.lastLSN {
 		w.cur.lastLSN = maxLSN
 	}
@@ -644,6 +687,11 @@ func (w *Manager) checkpointLocked(m *simtime.Meter) error {
 	}
 	if err := w.dev.Sync(m); err != nil {
 		return err
+	}
+	if w.OnCheckpointDurable != nil {
+		if err := w.OnCheckpointDurable(m); err != nil {
+			return fmt.Errorf("wal: checkpoint durable callback: %w", err)
+		}
 	}
 	// The image is durable; every live segment is at or below ckptLSN, so
 	// the whole ring truncates. Headers are erased so a stale torn tail

@@ -562,7 +562,7 @@ func TestSegmentCountBounded(t *testing.T) {
 // commitSync commits txnID the way the group committer does: the commit
 // record is flushed with CommitNoSync, then Manager.Sync makes it durable.
 func commitSync(l *Writer, m *simtime.Meter, txnID uint64) error {
-	if err := l.CommitNoSync(m, txnID); err != nil {
+	if _, err := l.CommitNoSync(m, txnID); err != nil {
 		return err
 	}
 	return l.mgr.Sync(m)
