@@ -30,7 +30,7 @@ func AblationTailVsTier() (*Result, error) {
 		{"extent tier formula", false},
 	} {
 		sys, err := NewOurSystem(VariantOur, OurOptions{
-			DevPages: 1 << 15, PoolPages: 1 << 14, LogPages: 1 << 12, UseTail: cfg.tail,
+			DevPages: 1 << 15, PoolPages: 1 << 14, LogPages: 1 << 12, TierOnly: !cfg.tail,
 		})
 		if err != nil {
 			return nil, err

@@ -66,7 +66,8 @@ type OurOptions struct {
 	// WorkerLocalAliasPages for Table II; 0 = default.
 	WorkerLocalAliasPages int
 	WALBufferCap          int
-	UseTail               bool
+	// TierOnly turns tail extents off (the ablation's tier-formula row).
+	TierOnly bool
 }
 
 // NewOurSystem builds an engine variant on a fresh in-memory device with
@@ -84,7 +85,7 @@ func NewOurSystem(v OurVariant, o OurOptions) (*OurSystem, error) {
 		core.WithCkptPages(o.DevPages/16),
 		core.WithHashTablePool(v == VariantOurHT),
 		core.WithPhysicalBlobLog(v == VariantOurPhyslog),
-		core.WithTailExtents(o.UseTail),
+		core.WithTailExtents(!o.TierOnly),
 		core.WithAliasPages(o.WorkerLocalAliasPages),
 		core.WithWALBufferCap(o.WALBufferCap),
 	)

@@ -90,6 +90,7 @@ type Writer struct {
 
 	stream  bool
 	useTail bool
+	expect  uint64 // ExpectSize: the blob's announced final size, 0 if unknown
 	tee     func([]byte) error
 	onSeal  func(*State, *Pending, []FreeSpec) error
 	onAbort func()
@@ -162,6 +163,14 @@ func (m *Manager) NewWriter(o WriterOpts) (*Writer, error) {
 	}
 	return w, nil
 }
+
+// ExpectSize announces the blob's final size in bytes (an HTTP PUT's
+// Content-Length, a transfer's claimed size). A new blob's last extent is
+// then allocated as its exact-size tail directly, so Close has no tail to
+// convert and never pins more than the previous extent and the tail. More
+// bytes than announced still work: the tail turns into the tier extent it
+// stood in for. Append writers and tier-only managers ignore it.
+func (w *Writer) ExpectSize(n uint64) { w.expect = n }
 
 // Size returns the bytes absorbed so far (append mode: including the base).
 func (w *Writer) Size() uint64 { return w.size }
@@ -289,11 +298,19 @@ func (w *Writer) finishCur() {
 	}
 }
 
-// nextExtent allocates the next tier extent and makes it current.
+// nextExtent allocates the next extent and makes it current: the tier
+// extent, or the exact-size tail when ExpectSize says the blob ends before
+// that tier extent would fill.
 func (w *Writer) nextExtent() error {
 	tier := len(w.extents)
 	if tier >= w.tiers.NumTiers() {
 		return w.fail(fmt.Errorf("blob: writer: %w", ErrTooLarge))
+	}
+	ps := w.mgr.Pool.PageSize()
+	if w.useTail && w.base == nil && w.expect > w.size {
+		if pages := extent.PagesFor(w.expect-w.size, ps); pages < w.tiers.Size(tier) {
+			return w.startTail(pages)
+		}
 	}
 	pid, err := w.mgr.Alloc.AllocExtent(tier)
 	if err != nil {
@@ -310,9 +327,77 @@ func (w *Writer) nextExtent() error {
 	w.cur = f
 	w.curOwned = true
 	w.curUsed = 0
+	w.curCap = int(npages) * ps
+	w.addPinned(int64(w.curCap))
+	return nil
+}
+
+// startTail allocates an exact-size tail of npages and makes it current.
+func (w *Writer) startTail(npages uint64) error {
+	pid, err := w.mgr.Alloc.AllocTail(npages)
+	if err != nil {
+		return w.fail(fmt.Errorf("blob: writer: allocate tail: %w", err))
+	}
+	f, err := w.mgr.Pool.CreateExtent(w.mt, pid, int(npages))
+	if err != nil {
+		w.mgr.Alloc.FreeTail(pid, npages)
+		return w.fail(fmt.Errorf("blob: writer: pin tail: %w", err))
+	}
+	w.news = append(w.news, FreeSpec{Tier: -1, PID: pid, Pages: npages})
+	w.tail = extent.Extent{PID: pid, Pages: npages}
+	w.cur = f
+	w.curOwned = true
+	w.curUsed = 0
 	w.curCap = int(npages) * w.mgr.Pool.PageSize()
 	w.addPinned(int64(w.curCap))
 	return nil
+}
+
+// tierFromTail replaces the tail at the growth frontier with the tier
+// extent it stood in for: the tier extent is allocated, the tail's n bytes
+// are copied into it from src, and it becomes current. The caller disposes
+// of the tail and src.
+func (w *Writer) tierFromTail(src *buffer.Frame, n int) error {
+	tier := len(w.extents)
+	if tier >= w.tiers.NumTiers() {
+		return w.fail(fmt.Errorf("blob: writer: %w", ErrTooLarge))
+	}
+	npages := w.tiers.Size(tier)
+	pid, err := w.mgr.Alloc.AllocExtent(tier)
+	if err != nil {
+		return w.fail(fmt.Errorf("blob: writer: replace tail: %w", err))
+	}
+	clone, err := w.mgr.Pool.CreateExtent(w.mt, pid, int(npages))
+	if err != nil {
+		w.mgr.Alloc.FreeExtent(tier, pid)
+		return w.fail(fmt.Errorf("blob: writer: replace tail: %w", err))
+	}
+	// memcpy tail -> clone through a bounded scratch (§III-H growth cost).
+	w.copyFrames(src, clone, n)
+	w.news = append(w.news, FreeSpec{Tier: tier, PID: pid})
+	w.extents = append(w.extents, pid)
+	w.tail = extent.Extent{}
+	w.cur = clone
+	w.curOwned = true
+	w.curCap = int(npages) * w.mgr.Pool.PageSize()
+	w.curUsed = n
+	w.addPinned(int64(w.curCap))
+	return nil
+}
+
+// dropOwned returns an extent this writer allocated and never wrote to the
+// device: its frame f is released and dropped and spec leaves w.news.
+func (w *Writer) dropOwned(f *buffer.Frame, spec FreeSpec) {
+	f.SetPreventEvict(false)
+	f.Release()
+	w.addPinned(-int64(f.NPages) * int64(w.mgr.Pool.PageSize()))
+	for i := len(w.news) - 1; i >= 0; i-- {
+		if w.news[i].PID == spec.PID {
+			w.news = append(w.news[:i], w.news[i+1:]...)
+			break
+		}
+	}
+	w.mgr.ApplyFrees([]FreeSpec{spec})
 }
 
 // lazyAppendInit reopens the growth frontier of the base state on the
@@ -324,40 +409,18 @@ func (w *Writer) lazyAppendInit() error {
 	w.appendInit = true
 	ps := w.mgr.Pool.PageSize()
 	if w.tail.Pages > 0 {
-		tier := len(w.extents)
-		if tier >= w.tiers.NumTiers() {
-			return w.fail(fmt.Errorf("blob: writer: %w", ErrTooLarge))
-		}
-		npages := w.tiers.Size(tier)
-		pid, err := w.mgr.Alloc.AllocExtent(tier)
-		if err != nil {
-			return w.fail(fmt.Errorf("blob: writer: clone tail: %w", err))
-		}
-		clone, err := w.mgr.Pool.CreateExtent(w.mt, pid, int(npages))
-		if err != nil {
-			w.mgr.Alloc.FreeExtent(tier, pid)
-			return w.fail(fmt.Errorf("blob: writer: clone tail: %w", err))
-		}
 		tf, err := w.mgr.Pool.FixExtent(w.mt, w.tail.PID, int(w.tail.Pages))
 		if err != nil {
-			clone.SetPreventEvict(false)
-			clone.Release()
-			w.mgr.Pool.Drop(pid)
-			w.mgr.Alloc.FreeExtent(tier, pid)
 			return w.fail(fmt.Errorf("blob: writer: fix tail: %w", err))
 		}
-		// memcpy tail -> clone through a bounded scratch (§III-H growth cost).
-		w.copyFrames(tf, clone, int(w.tail.Pages)*ps)
+		old := w.tail
+		err = w.tierFromTail(tf, int(old.Pages)*ps)
 		tf.Release()
-		w.news = append(w.news, FreeSpec{Tier: tier, PID: pid})
-		w.frees = append(w.frees, FreeSpec{Tier: -1, PID: w.tail.PID, Pages: w.tail.Pages})
-		w.extents = append(w.extents, pid)
-		w.tail = extent.Extent{}
-		w.cur = clone
-		w.curOwned = true
-		w.curCap = int(npages) * ps
-		w.curUsed = int(w.size - w.tiers.Cum(tier-1)*uint64(ps))
-		w.addPinned(int64(w.curCap))
+		if err != nil {
+			return err
+		}
+		w.curUsed = int(w.size - w.tiers.Cum(len(w.extents)-2)*uint64(ps))
+		w.frees = append(w.frees, FreeSpec{Tier: -1, PID: old.PID, Pages: old.Pages})
 		return nil
 	}
 	if k := len(w.extents); k > 0 {
@@ -436,6 +499,16 @@ func (w *Writer) ensureSpace() error {
 		}
 	}
 	if w.cur != nil && w.curUsed == w.curCap {
+		if w.tail.Pages > 0 {
+			// More bytes than ExpectSize announced: the full tail turns
+			// into the tier extent it stood in for.
+			old, spec := w.cur, FreeSpec{Tier: -1, PID: w.tail.PID, Pages: w.tail.Pages}
+			if err := w.tierFromTail(old, w.curUsed); err != nil {
+				return err
+			}
+			w.dropOwned(old, spec)
+			return nil
+		}
 		w.finishCur()
 	}
 	if w.cur == nil {
@@ -533,43 +606,34 @@ func (w *Writer) ReadFrom(r io.Reader) (int64, error) {
 	}
 }
 
-// convertTail replaces a partially-filled last tier extent with an
-// exact-size tail extent (§III-A) at seal time — streaming cannot know the
-// final size up front, so the tail decision is deferred to Close. The
-// resulting layout matches TierTable.Plan exactly.
+// convertTail replaces a partially-filled last extent with an exact-size
+// tail extent (§III-A) at seal time — streaming cannot know the final size
+// up front, so without ExpectSize the tail decision is deferred to Close.
+// The resulting layout matches TierTable.Plan exactly. The copy is
+// frame-to-frame and precedes any device write of the last extent, so the
+// tail costs no extra device bytes.
 func (w *Writer) convertTail() error {
-	tier := len(w.extents) - 1
 	ps := w.mgr.Pool.PageSize()
 	remPages := extent.PagesFor(uint64(w.curUsed), ps)
-	if remPages == 0 || remPages >= w.tiers.Size(tier) {
+	if remPages == 0 || int(remPages)*ps >= w.curCap {
 		return nil // the extent is exactly full: no tail (Plan does the same)
 	}
-	tpid, err := w.mgr.Alloc.AllocTail(remPages)
-	if err != nil {
-		return w.fail(fmt.Errorf("blob: writer: allocate tail: %w", err))
+	// Drain the flusher first: the previous extent is released before the
+	// tail is pinned, so the current extent and its tail are the only
+	// frames pinned, and the two-extent bound holds at Close too.
+	w.stopFlusher()
+	// The current extent is this writer's newest allocation: a tier
+	// extent, or a tail sized by an ExpectSize larger than the blob.
+	old, spec, used := w.cur, w.news[len(w.news)-1], w.curUsed
+	if err := w.startTail(remPages); err != nil {
+		return err
 	}
-	tf, err := w.mgr.Pool.CreateExtent(w.mt, tpid, int(remPages))
-	if err != nil {
-		w.mgr.Alloc.FreeTail(tpid, remPages)
-		return w.fail(fmt.Errorf("blob: writer: pin tail: %w", err))
+	w.copyFrames(old, w.cur, used)
+	w.curUsed = used
+	if spec.Tier >= 0 {
+		w.extents = w.extents[:spec.Tier]
 	}
-	w.copyFrames(w.cur, tf, w.curUsed)
-	old := w.cur
-	oldPID := w.extents[tier]
-	old.SetPreventEvict(false)
-	old.Release()
-	w.mgr.Pool.Drop(oldPID)
-	w.mgr.Alloc.FreeExtent(tier, oldPID)
-	w.addPinned(-int64(w.curCap))
-	if n := len(w.news); n > 0 && w.news[n-1].PID == oldPID {
-		w.news = w.news[:n-1]
-	}
-	w.extents = w.extents[:tier]
-	w.news = append(w.news, FreeSpec{Tier: -1, PID: tpid, Pages: remPages})
-	w.tail = extent.Extent{PID: tpid, Pages: remPages}
-	w.cur = tf
-	w.curCap = int(remPages) * ps
-	w.addPinned(int64(w.curCap))
+	w.dropOwned(old, spec)
 	return nil
 }
 

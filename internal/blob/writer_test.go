@@ -410,3 +410,51 @@ func TestWriterTailLayoutMatchesPlan(t *testing.T) {
 		}
 	}
 }
+
+// TestWriterExpectSize: with the final size announced, a new blob's last
+// extent is allocated as its tail directly; an announcement that is too
+// small (the tail turns into its tier extent) or too large (Close converts
+// the oversized tail) still seals the Plan layout with exact content, and
+// no page leaks.
+func TestWriterExpectSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, size := range []int{1, 3*ps + 7, 100<<10 + 37, 1<<20 + 12345} {
+		for _, hint := range []int{size, size / 2, 2 * size} {
+			for _, stream := range []bool{false, true} {
+				t.Run(fmt.Sprintf("size=%d/hint=%d/stream=%v", size, hint, stream), func(t *testing.T) {
+					e := newWriterEnv(t, true)
+					w, err := e.mgr.NewWriter(WriterOpts{Stream: stream})
+					if err != nil {
+						t.Fatal(err)
+					}
+					w.ExpectSize(uint64(hint))
+					data := randBytes(rng, size)
+					if _, err := w.ReadFrom(bytes.NewReader(data)); err != nil {
+						t.Fatal(err)
+					}
+					st := sealWriter(t, w)
+					slots, tailPages := e.alloc.Tiers().Plan(extent.PagesFor(uint64(size), ps), true)
+					if len(st.Extents) != len(slots) || st.Tail.Pages != tailPages {
+						t.Errorf("%d extents + %d-page tail; plan says %d + %d", len(st.Extents), st.Tail.Pages, len(slots), tailPages)
+					}
+					if live := e.alloc.Stats().LivePages; live != st.TotalPages(e.alloc.Tiers()) {
+						t.Errorf("allocator holds %d live pages, the blob owns %d", live, st.TotalPages(e.alloc.Tiers()))
+					}
+					back, err := e.mgr.ReadAll(nil, st)
+					if err != nil || !bytes.Equal(back, data) {
+						t.Fatalf("content mismatch: %v", err)
+					}
+					if hint == size && stream && len(st.Extents) > 0 {
+						// The tier extent the tail stands in for is never
+						// pinned: two of the largest extent the blob uses
+						// bound what the writer holds.
+						largest := e.alloc.Tiers().Size(len(st.Extents) - 1)
+						if peak, bound := w.PeakPinnedBytes(), 2*int64(max(largest, st.Tail.Pages))*ps; peak >= bound {
+							t.Errorf("peak pinned %d bytes, want < %d (2 x largest extent)", peak, bound)
+						}
+					}
+				})
+			}
+		}
+	}
+}

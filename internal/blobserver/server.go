@@ -475,6 +475,9 @@ func (s *Server) handlePutBlob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
+	if r.ContentLength > 0 {
+		bw.ExpectSize(uint64(r.ContentLength)) // the last extent is allocated as the tail
+	}
 	// Stream the body straight into the writer: extents are allocated as
 	// bytes arrive, the SHA-256 runs chunk by chunk, and completed extents
 	// flush in the background while the next one fills — the server never

@@ -24,7 +24,7 @@ func TestFunctionalOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.opts.PoolPages != 1<<12 || !db.opts.UseTailExtents || db.opts.WALBufferCap != 4<<20 {
+	if db.opts.PoolPages != 1<<12 || db.opts.TierOnly || db.opts.WALBufferCap != 4<<20 {
 		t.Fatalf("options not applied: %+v", db.opts)
 	}
 	if _, err := db.CreateRelation("image"); err != nil {

@@ -74,6 +74,10 @@ type committer struct {
 	// one flight is outstanding; flightMu guards the pointer.
 	flightMu sync.Mutex
 	flight   *commitFlight
+	// finalizing counts flights not yet finalized: an earlier flight's
+	// acks can still be going out after a later flight has started. The
+	// committer goroutine alone calls Add and Wait.
+	finalizing sync.WaitGroup
 
 	// Extents-landed watermark (DESIGN.md §5, "Recovery validation"):
 	// landedW is the highest commit LSN whose batch's writes all landed;
@@ -89,12 +93,11 @@ type committer struct {
 
 // commitFlight is one batch's in-flight extent write-back, run by one
 // goroutine. landed closes once the device writes completed (the pipeline
-// barrier and the idle committer's exit signal); done closes after
-// finalization — pins released, frees applied, locks released,
-// durability acks delivered.
+// barrier and the idle committer's exit signal); committer.finalizing
+// counts the flight until its finalization — pins released, frees
+// applied, locks released, durability acks delivered — is done.
 type commitFlight struct {
 	landed chan struct{}
-	done   chan struct{}
 }
 
 // maxCommitBatch caps how many transactions one WAL sync may cover.
@@ -439,10 +442,11 @@ func (db *DB) finishBatch(batch []*Txn) {
 // the pre-pipeline committer — which keeps crashsim's op ordering
 // unchanged.
 func (db *DB) submitCommitFlush(txns []*Txn) {
-	f := &commitFlight{landed: make(chan struct{}), done: make(chan struct{})}
+	f := &commitFlight{landed: make(chan struct{})}
 	db.commit.flightMu.Lock()
 	db.commit.flight = f
 	db.commit.flightMu.Unlock()
+	db.commit.finalizing.Add(1)
 	go db.runCommitFlight(f, txns)
 	if db.opts.InlineQueue {
 		<-f.landed
@@ -482,7 +486,7 @@ func (db *DB) runCommitFlight(f *commitFlight, txns []*Txn) {
 		db.commit.release(t)
 		t.waitC <- nil
 	}
-	close(f.done)
+	db.commit.finalizing.Done()
 }
 
 // joinCommitFlight blocks until the outstanding flight's device writes
@@ -494,13 +498,13 @@ func (db *DB) joinCommitFlight() {
 	}
 }
 
-// drainCommitFlight blocks until the outstanding flight has fully
-// finalized — acks delivered, frees applied — the drain sentinel's strong
-// barrier.
+// drainCommitFlight blocks until every flight has fully finalized — acks
+// delivered, frees applied — the drain sentinel's strong barrier. Waiting
+// for the newest flight alone is not enough: joinCommitFlight let it start
+// once its predecessor's writes landed, while the predecessor's acks may
+// still be going out.
 func (db *DB) drainCommitFlight() {
-	if f := db.commit.currentFlight(); f != nil {
-		<-f.done
-	}
+	db.commit.finalizing.Wait()
 }
 
 // failCommit records a background commit failure and releases everything

@@ -44,8 +44,9 @@ type options struct {
 	// PhysicalBlobLog selects the Our.physlog baseline: blob content is
 	// appended to the WAL in addition to the Blob State.
 	PhysicalBlobLog bool
-	// UseTailExtents enables §III-A tail extents.
-	UseTailExtents bool
+	// TierOnly turns §III-A tail extents off: every blob ends in a
+	// whole tier extent. Only the ablation's tier-formula row sets it.
+	TierOnly bool
 	// WorkerLocalAliasPages sizes each worker-local aliasing area
 	// (default 1024 pages = 4 MB).
 	WorkerLocalAliasPages int
@@ -169,7 +170,7 @@ func open(o options) (*DB, error) {
 		heapStart, storage.PID(n))
 	db.alias = buffer.NewAliasManager(o.Dev.PageSize(), o.WorkerLocalAliasPages, o.PoolPages)
 	db.blobs = blob.NewManager(db.pool, db.alloc, db.alias)
-	db.blobs.UseTail = o.UseTailExtents
+	db.blobs.UseTail = !o.TierOnly
 	db.locks.init()
 	db.reclaim.init()
 	db.dedup.init(db.wal.NewWriter())

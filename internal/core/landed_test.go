@@ -437,3 +437,55 @@ func TestCheckpointCrashNeverTrustsUnsyncedExtents(t *testing.T) {
 		}
 	}
 }
+
+// TestTxnIDsNeverRepeatAcrossRestarts: recovery matches each transaction's
+// records to its commit record by transaction id, and a recovery scan can
+// read commit records an earlier process lifetime wrote: a checkpoint
+// erases only segment headers, so a later segment that reuses a slot can
+// run on into the older flush blocks behind it. Ids therefore must not
+// restart with the process. Here a torn put of the second lifetime would
+// take the id of a put the first lifetime committed; recovery must judge it
+// by its own commit record, hash it, and fail it.
+func TestTxnIDsNeverRepeatAcrossRestarts(t *testing.T) {
+	o := landedOpts()
+	db := openTest(t, o)
+	db.CreateRelation("r")
+	const first = 20
+	for i := 0; i < first; i++ {
+		putCommitted(t, db, "r", []byte(fmt.Sprintf("k%02d", i)), testContent(int64(i), 100))
+	}
+	if err := db.WAL().Checkpoint(nil); err != nil {
+		t.Fatal(err)
+	}
+	db.CloseCommitter()
+	db, _ = crashAndRecover(t, o)
+	probe := db.Begin(nil)
+	probe.Commit()
+	if id := probe.ID(); id <= first {
+		t.Errorf("first transaction after restart has id %d; the first lifetime used 1..%d", id, first)
+	}
+	// Two landed puts: the second flush carries the first's watermark,
+	// which lies above every commit record of the first lifetime.
+	v := testContent(100, 20<<10)
+	putCommitted(t, db, "r", []byte("a"), v)
+	putCommitted(t, db, "r", []byte("b"), v)
+	// Read-only transactions move the id counter to a first-lifetime id
+	// whose commit record is still in a flush block behind the new ones.
+	for i := 0; i < 10; i++ {
+		db.Begin(nil).Commit()
+	}
+	tx := db.Begin(nil)
+	if err := putBlob(tx, "r", []byte("torn"), testContent(101, 20<<10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := CrashBeforeExtentFlush(tx); err != nil {
+		t.Fatal(err)
+	}
+	db, _ = crashAndRecover(t, o)
+	t.Cleanup(func() { db.CloseCommitter() })
+	wantContent(t, db, "torn", nil)
+	wantContent(t, db, "a", v)
+	if err := db.VerifyContent(); err != nil {
+		t.Error(err)
+	}
+}

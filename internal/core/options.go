@@ -30,9 +30,11 @@ func WithHashTablePool(on bool) Option { return func(o *options) { o.HashTablePo
 // appended to the WAL in addition to the Blob State.
 func WithPhysicalBlobLog(on bool) Option { return func(o *options) { o.PhysicalBlobLog = on } }
 
-// WithTailExtents enables §III-A tail extents: minimal internal
-// fragmentation, slower growth.
-func WithTailExtents(on bool) Option { return func(o *options) { o.UseTailExtents = on } }
+// WithTailExtents selects the extent layout. On (the default), a static
+// blob ends in an exact-size tail extent (§III-A), so it wastes no pages.
+// Off ends every blob in a whole tier extent; only the ablation's
+// "extent tier formula" row turns it off.
+func WithTailExtents(on bool) Option { return func(o *options) { o.TierOnly = !on } }
 
 // WithAliasPages sizes each worker-local aliasing area in pages (default
 // 1024 pages = 4 MB).

@@ -23,7 +23,7 @@ import (
 // checkpoint image format (page-aligned in the checkpoint region):
 //
 //	magic u64 | totalLen u64 | crc32 u32 | confirmed u8 | pad to 24 | body
-//	body: hwm u64 | ckptLSN u64 | relCount u32 |
+//	body: hwm u64 | ckptLSN u64 | txnFloor u64 (v5) | relCount u32 |
 //	      per relation: nameLen u16 name entryCount u64
 //	                    entries: klen u32 k vlen u32 v
 //	                    inflightCount u32 (v4)
@@ -47,10 +47,18 @@ import (
 // checkpoint's sync, says the image is durable (DESIGN.md §5, "Recovery
 // validation"). The crc does not cover the header, so setting the byte
 // rewrites page 0 with identical bytes but one.
+//
+// txnFloor (v5) is the highest transaction id issued before the capture.
+// Recovery matches records to commit records by transaction id and reads
+// commit records at any LSN, including ones an earlier process lifetime
+// left in the log, so ids must never repeat: a recovered engine issues ids
+// above the floor and above every id its log scan read. Without the floor
+// (v3, v4) only the scan bounds them.
 const (
 	ckptMagicPrefix = 0x424c4f42_434b5000 // "BLOBCKP" + a version byte
 	ckptMagicV3     = ckptMagicPrefix | '3'
-	ckptMagic       = ckptMagicPrefix | '4' // "BLOBCKP4" (v4: in-flight section, confirmation)
+	ckptMagicV4     = ckptMagicPrefix | '4' // in-flight section, confirmation
+	ckptMagic       = ckptMagicPrefix | '5' // "BLOBCKP5" (v5: transaction-id floor)
 )
 
 const (
@@ -86,6 +94,9 @@ func (db *DB) writeCheckpoint(m *simtime.Meter, ckptLSN uint64) error {
 	body := make([]byte, 0, 1<<16)
 	body = binary.LittleEndian.AppendUint64(body, uint64(db.alloc.HWM()))
 	body = binary.LittleEndian.AppendUint64(body, ckptLSN)
+	// Read after ckptLSN was fixed: a transaction with a record at or
+	// below it began before, so its id is at or below the floor.
+	body = binary.LittleEndian.AppendUint64(body, db.nextTxn.Load())
 
 	db.mu.RLock()
 	names := make([]string, 0, len(db.rels))
@@ -176,10 +187,11 @@ type ckptImage struct {
 	inflight  map[string][]inflightKey // per relation, key order
 	hwm       storage.PID
 	ckptLSN   uint64
+	txnFloor  uint64 // highest transaction id issued before capture (v5; 0 before)
 	ledgerSeq uint64
 	ledger    map[storage.PID]uint64
-	// trusted: a confirmed v4 image, whose tuples outside the in-flight
-	// section landed before a completed sync.
+	// trusted: a confirmed v4 or v5 image, whose tuples outside the
+	// in-flight section landed before a completed sync.
 	trusted bool
 }
 
@@ -219,14 +231,15 @@ func (db *DB) readCheckpointSlot(m *simtime.Meter, slot int) (img *ckptImage, ok
 		return nil, false, err
 	}
 	magic := binary.LittleEndian.Uint64(head[0:])
-	switch {
-	case magic == ckptMagic || magic == ckptMagicV3:
-	case magic&^0xff == ckptMagicPrefix:
-		return nil, false, fmt.Errorf("core: checkpoint slot %d holds version %q: %w", slot, byte(magic), ErrCheckpointVersion)
+	switch magic {
+	case ckptMagic, ckptMagicV4, ckptMagicV3:
 	default:
-		return nil, false, nil
+		if magic&^0xff != ckptMagicPrefix {
+			return nil, false, nil
+		}
+		return nil, false, fmt.Errorf("core: checkpoint slot %d holds version %q: %w", slot, byte(magic), ErrCheckpointVersion)
 	}
-	v4 := magic == ckptMagic
+	v4 := magic != ckptMagicV3 // v4 or later: in-flight section, confirmation
 	bodyLen := int(binary.LittleEndian.Uint64(head[8:]))
 	wantCRC := binary.LittleEndian.Uint32(head[16:])
 	total := ckptHeaderLen + bodyLen
@@ -279,6 +292,11 @@ func (db *DB) readCheckpointSlot(m *simtime.Meter, slot int) (img *ckptImage, ok
 	img.hwm = storage.PID(hwm)
 	if img.ckptLSN, err = u64(); err != nil {
 		return nil, false, err
+	}
+	if magic == ckptMagic {
+		if img.txnFloor, err = u64(); err != nil {
+			return nil, false, err
+		}
 	}
 	relCount, err := u32()
 	if err != nil {
@@ -431,7 +449,12 @@ func recoverDB(o options, m *simtime.Meter) (*DB, *RecoveryReport, error) {
 	// segment-id counters past everything on the device.
 	commitAt := map[uint64]uint64{} // txn -> commit record LSN
 	var records []wal.Record
+	maxTxn := uint64(0)
+	if ok {
+		maxTxn = img.txnFloor
+	}
 	_, err = db.wal.Recover(m, 0, func(r wal.Record) bool {
+		maxTxn = max(maxTxn, r.TxnID)
 		switch r.Type {
 		case wal.RecCommit:
 			commitAt[r.TxnID] = r.LSN
@@ -457,9 +480,12 @@ func recoverDB(o options, m *simtime.Meter) (*DB, *RecoveryReport, error) {
 		for _, es := range img.inflight {
 			for _, e := range es {
 				written[e.txn] = written[e.txn] || e.written
+				maxTxn = max(maxTxn, e.txn)
 			}
 		}
 	}
+	// New transactions take ids above every id on the device (see txnFloor).
+	db.nextTxn.Store(maxTxn)
 	committed := func(txn uint64) bool {
 		_, ok := commitAt[txn]
 		return ok || written[txn]

@@ -23,15 +23,16 @@ import (
 //  3. Skip shared extents: a deduplicated sequence has co-owners whose
 //     tuples all embed the old PID, and a row lock on one key cannot
 //     remap the others atomically.
-//  4. Allocate the destination strictly BELOW the source (AllocExtentBelow
-//     reuses free space only), pin the source, copy the used bytes, and
-//     flush the copy to the device BEFORE staging anything. This inverts
-//     the writer's §III-C order (state durable first, extents second) on
-//     purpose: content is unchanged, so if the remap record never becomes
-//     durable the old tuple still points at the old — untouched — extent,
-//     and if it does become durable the new extent already holds valid
-//     bytes. Either way SHA-256 validation passes and the key survives.
-//     The flushed-but-never-committed copy is reclaimed by the allocator
+//  4. Allocate the destination strictly BELOW the source
+//     (AllocExtentBelow and AllocTailBelow reuse free space only), pin
+//     the source, copy the used bytes, and flush the copy to the device
+//     BEFORE staging anything. This inverts the writer's §III-C order
+//     (state durable first, extents second) on purpose: content is
+//     unchanged, so if the remap record never becomes durable the old
+//     tuple still points at the old — untouched — extent, and if it
+//     does become durable the new extent already holds valid bytes.
+//     Either way SHA-256 validation passes and the key survives. The
+//     flushed-but-never-committed copy is reclaimed by the allocator
 //     rebuild at recovery (no tuple references it).
 //  5. Stage the remapped Blob State as a normal RecBlobState tree write,
 //     refresh the ordering and dedup indexes, queue the OLD extent on
@@ -40,16 +41,19 @@ import (
 type RelocTarget struct {
 	Rel  string
 	Key  []byte
-	Tier int         // index into State.Extents
+	Tier int         // index into State.Extents; TailTarget for the tail extent
 	PID  storage.PID // expected current extent address (stale-plan check)
 }
 
-// PlanRelocations scans every relation for tier extents worth moving down:
-// unshared extents at the highest device addresses, which are the ones
-// pinning the allocator's high-water mark up. Returns at most max targets,
-// highest address first (moving those first frees the top of the region so
-// ShrinkHWM can retract it). Planning takes no row locks; RelocateExtent
-// re-validates under the lock.
+// TailTarget is the RelocTarget.Tier of a blob's tail extent.
+const TailTarget = -1
+
+// PlanRelocations scans every relation for extents worth moving down — tier
+// extents and tails alike: unshared extents at the highest device
+// addresses, which are the ones pinning the allocator's high-water mark up.
+// Returns at most max targets, highest address first (moving those first
+// frees the top of the region so ShrinkHWM can retract it). Planning takes
+// no row locks; RelocateExtent re-validates under the lock.
 func (db *DB) PlanRelocations(max int) []RelocTarget {
 	if max <= 0 {
 		return nil
@@ -70,10 +74,12 @@ func (db *DB) PlanRelocations(max int) []RelocTarget {
 			if err != nil {
 				return true
 			}
+			key := append([]byte(nil), k...)
 			for i, pid := range st.Extents {
-				cands = append(cands, RelocTarget{
-					Rel: name, Key: append([]byte(nil), k...), Tier: i, PID: pid,
-				})
+				cands = append(cands, RelocTarget{Rel: name, Key: key, Tier: i, PID: pid})
+			}
+			if st.HasTail() {
+				cands = append(cands, RelocTarget{Rel: name, Key: key, Tier: TailTarget, PID: st.Tail.PID})
 			}
 			return true
 		})
@@ -96,12 +102,13 @@ func (db *DB) PlanRelocations(max int) []RelocTarget {
 	return kept
 }
 
-// RelocateExtent moves one tier extent of one blob to a lower device
-// address. It returns (false, nil) when the move is not possible or no
-// longer useful — the plan went stale, the sequence is shared, or no free
-// slot exists below the source — so the defragmenter can treat skips as
-// routine. The move is part of the transaction: it commits (and becomes
-// durable) or aborts (and the copy is discarded) with everything else in t.
+// RelocateExtent moves one extent of one blob — a tier extent or its tail —
+// to a lower device address. It returns (false, nil) when the move is not
+// possible or no longer useful — the plan went stale, the sequence is
+// shared, or no free slot exists below the source — so the defragmenter can
+// treat skips as routine. The move is part of the transaction: it commits
+// (and becomes durable) or aborts (and the copy is discarded) with
+// everything else in t.
 func (t *Txn) RelocateExtent(tgt RelocTarget) (bool, error) {
 	if err := t.check(); err != nil {
 		return false, err
@@ -127,7 +134,10 @@ func (t *Txn) RelocateExtent(tgt RelocTarget) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("core: relocate: stored blob state corrupt: %w", err)
 	}
-	if tgt.Tier >= len(st.Extents) || st.Extents[tgt.Tier] != tgt.PID {
+	tail := tgt.Tier == TailTarget
+	switch {
+	case tail && (!st.HasTail() || st.Tail.PID != tgt.PID),
+		!tail && (tgt.Tier < 0 || tgt.Tier >= len(st.Extents) || st.Extents[tgt.Tier] != tgt.PID):
 		return false, nil // stale plan
 	}
 	db := t.db
@@ -139,26 +149,36 @@ func (t *Txn) RelocateExtent(tgt RelocTarget) (bool, error) {
 	}
 
 	tiers := db.alloc.Tiers()
-	npages := tiers.Size(tgt.Tier)
 	ps := db.pool.PageSize()
-	// Bytes of this extent actually covered by the blob (the last extent
-	// of a sequence may be a partially filled growth frontier).
+	// The extent's size and the bytes of it the blob covers (the last
+	// tier extent of a sequence may be a partially filled growth
+	// frontier; a tail covers everything past the tier extents).
+	first, npages := len(st.Extents), st.Tail.Pages
+	if !tail {
+		first, npages = tgt.Tier, tiers.Size(tgt.Tier)
+	}
 	used := int(npages) * ps
-	if covered := st.Size - tiers.Cum(tgt.Tier-1)*uint64(ps); covered < uint64(used) {
+	if covered := st.Size - tiers.Cum(first-1)*uint64(ps); covered < uint64(used) {
 		used = int(covered)
 	}
 	if used <= 0 {
 		return false, nil // degenerate state; nothing to move
 	}
 
-	newPID, ok := db.alloc.AllocExtentBelow(tgt.Tier, tgt.PID)
+	var newPID storage.PID
+	spec := blob.FreeSpec{Tier: tgt.Tier, PID: tgt.PID}
+	if tail {
+		spec.Pages = npages
+		newPID, ok = db.alloc.AllocTailBelow(npages, tgt.PID)
+	} else {
+		newPID, ok = db.alloc.AllocExtentBelow(tgt.Tier, tgt.PID)
+	}
 	if !ok {
 		return false, nil
 	}
-	undoAlloc := func() {
-		db.pool.Drop(newPID)
-		db.alloc.FreeExtent(tgt.Tier, newPID)
-	}
+	newSpec := spec
+	newSpec.PID = newPID
+	undoAlloc := func() { db.blobs.ApplyFrees([]blob.FreeSpec{newSpec}) }
 
 	old, err := db.pool.FixExtent(t.meter, tgt.PID, int(npages))
 	if err != nil {
@@ -197,13 +217,17 @@ func (t *Txn) RelocateExtent(tgt RelocTarget) (bool, error) {
 
 	newSt := st.Clone()
 	newSt.Extents = append([]storage.PID(nil), st.Extents...)
-	newSt.Extents[tgt.Tier] = newPID
+	if tail {
+		newSt.Tail.PID = newPID
+	} else {
+		newSt.Extents[tgt.Tier] = newPID
+	}
 
 	// Abort path: Discard(News) returns the copy to the allocator. Commit
 	// path: the old extent frees through the epoch-deferred, ledger-aware
 	// reclaimer once no reader can hold its snapshot.
-	p := db.blobs.NewPending(nil, []blob.FreeSpec{{Tier: tgt.Tier, PID: newPID}})
-	if err := t.stageBlob(r, tgt.Key, st, newSt, p, []blob.FreeSpec{{Tier: tgt.Tier, PID: tgt.PID}}); err != nil {
+	p := db.blobs.NewPending(nil, []blob.FreeSpec{newSpec})
+	if err := t.stageBlob(r, tgt.Key, st, newSt, p, []blob.FreeSpec{spec}); err != nil {
 		return false, err
 	}
 	return true, nil

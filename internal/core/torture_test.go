@@ -7,15 +7,22 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"blobdb/internal/blob"
 	"blobdb/internal/crashsim/refmodel"
 )
 
-// tortureSeed seeds the torture run; every failure prints the replay
-// invocation so any sighting reproduces exactly.
-var tortureSeed = flag.Int64("torture-seed", 2024, "seed for TestTortureAgainstReference")
+// tortureSeed replays one torture seed; every failure prints the replay
+// invocation so any sighting reproduces exactly. 0 runs tortureSeeds.
+var tortureSeed = flag.Int64("torture-seed", 0, "seed for TestTortureAgainstReference (0: every seed of tortureSeeds)")
+
+// tortureSeeds are the seeds every run covers: 2024, and the seeds on
+// which recovery once judged a torn put by an earlier process lifetime's
+// commit record of the same transaction id, when ids restarted with every
+// open.
+var tortureSeeds = []int64{2024, 6, 10, 13, 14, 21, 23, 26, 30, 34, 37, 42, 46, 47}
 
 // TestTortureAgainstReference drives a long random mix of puts, streaming
 // creates and appends, grows, updates, deletes, aborts (including
@@ -27,7 +34,23 @@ func TestTortureAgainstReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture run is not short")
 	}
-	seed := *tortureSeed
+	seeds := tortureSeeds
+	if *tortureSeed != 0 {
+		seeds = []int64{*tortureSeed}
+	}
+	// Every restart abandons an engine and its pool; without a limit the
+	// collector lets a run of all seeds grow past 6 GB of RSS. Live data
+	// stays far below the limit.
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(1 << 30))
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			torture(t, seed)
+		})
+	}
+}
+
+// torture runs one seed of TestTortureAgainstReference.
+func torture(t *testing.T, seed int64) {
 	defer func() {
 		if t.Failed() {
 			t.Logf("replay: go test ./internal/core -run TestTortureAgainstReference -torture-seed=%d", seed)
@@ -118,6 +141,17 @@ func TestTortureAgainstReference(t *testing.T) {
 		return nil
 	}
 
+	// restart abandons db as a crash would and recovers the device.
+	restart := func(step int, what string) {
+		t.Helper()
+		db2, _, err := recoverDB(o, nil)
+		if err != nil {
+			t.Fatalf("step %d: %s: %v", step, what, err)
+		}
+		db = db2
+		verify(step)
+	}
+
 	var trail []string
 	note := func(f string, args ...any) {
 		trail = append(trail, fmt.Sprintf(f, args...))
@@ -179,12 +213,7 @@ func TestTortureAgainstReference(t *testing.T) {
 				// shared device; the partially flushed extents stay on disk
 				// with no commit record, so recovery discards them.
 				w.Abort()
-				db2, _, err := recoverDB(o, nil)
-				if err != nil {
-					t.Fatalf("step %d: recover mid-stream: %v", step, err)
-				}
-				db = db2
-				verify(step)
+				restart(step, "recover mid-stream")
 			default:
 				note("step %d stream-put %s %dB", step, key, len(content))
 				if err := stream(w, content, 1); err != nil {
@@ -320,12 +349,7 @@ func TestTortureAgainstReference(t *testing.T) {
 				model.Commit(key, content)
 			}
 			// Crash NOW: the torn state is in the WAL; recover.
-			db2, _, err := recoverDB(o, nil)
-			if err != nil {
-				t.Fatalf("step %d: recover after torn txn: %v", step, err)
-			}
-			db = db2
-			verify(step)
+			restart(step, "recover after torn txn")
 		case op < 86: // checkpoint
 			note("step %d checkpoint", step)
 			if err := db.WAL().Checkpoint(nil); err != nil {
@@ -333,12 +357,7 @@ func TestTortureAgainstReference(t *testing.T) {
 			}
 		case op < 95: // clean crash + recovery
 			note("step %d recover", step)
-			db2, _, err := recoverDB(o, nil)
-			if err != nil {
-				t.Fatalf("step %d: recover: %v", step, err)
-			}
-			db = db2
-			verify(step)
+			restart(step, "recover")
 		default: // read a missing key
 			tx := db.Begin(nil)
 			if _, err := tx.ReadBlobBytes("r", []byte("never-existed")); !errors.Is(err, ErrKeyNotFound) {
@@ -353,12 +372,7 @@ func TestTortureAgainstReference(t *testing.T) {
 	verify(steps)
 	// Final sanity: allocator live pages match the reference exactly after
 	// one more recovery (no leaks across the whole history).
-	db2, _, err := recoverDB(o, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db = db2
-	verify(steps + 1)
+	restart(steps+1, "final recover")
 	var wantPages uint64
 	tiers := db.Allocator().Tiers()
 	tx := db.Begin(nil)

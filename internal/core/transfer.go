@@ -118,6 +118,7 @@ func (t *Txn) install(relName string, key []byte, row Row, src Content) (Transfe
 		if err != nil {
 			return err
 		}
+		w.ExpectSize(size)
 		if n, err = io.Copy(w, rd); err != nil {
 			return err
 		}

@@ -106,6 +106,11 @@ type Config struct {
 	SmallPool bool                             // shrink the buffer pool to force eviction during flushes
 	Dedup     bool                             // generate dedup/relocation-heavy traces (put-dup, relocate families)
 	Logf      func(format string, args ...any) // optional progress output
+
+	// spans records each single-key op's device-op window (Result.Spans).
+	// Its state lookups run read-only transactions, so record and replay
+	// passes of one schedule must agree on it.
+	spans bool
 }
 
 // DefaultConfig returns the base world's short CI budget: one shard,
@@ -216,6 +221,25 @@ type Result struct {
 	Recovered  int                  // images recovered and content-verified
 	Trusted    int                  // Blob States those recoveries trusted as landed
 	Hashed     int                  // Blob States those recoveries hashed
+	Spans      []OpSpan             // with Config.spans: each single-key op's window, and the reshard's
+}
+
+// OpSpan is the window of device ops one trace op issued on the shard that
+// ran it: crash points Lo..Hi-1 of that shard crash inside the op. A live
+// reshard is one span on the destination (Op -1, Kind "reshard").
+type OpSpan struct {
+	Op     int
+	Kind   string
+	Key    string
+	Shard  int
+	Lo, Hi int
+	// BaseTail: the key's Blob State ended in a tail extent before the op
+	// (an append clones it). Tail: it ends in one after (reshard: some
+	// state the destination installed does).
+	BaseTail, Tail bool
+	Adopted        bool // the op shared an existing sequence through dedup
+
+	hits uint64 // the shard's dedup hits before the op
 }
 
 // runner executes one schedule.
@@ -232,6 +256,7 @@ type runner struct {
 	crashed bool
 	served  int
 	shed    int
+	spans   []OpSpan
 }
 
 // batchOp is one key's outcome in an acknowledged commit batch.
@@ -319,9 +344,11 @@ func (c Config) RunSchedule(s Schedule, want [][]uint64) (*Result, error) {
 	ringBefore := r.cluster.Ring()
 
 	for i, op := range genTrace(s.TraceSeed, c.Steps, c.Dedup) {
+		sp := r.beginSpan(i, op)
 		if err := r.exec(op); err != nil {
 			return nil, fmt.Errorf("op %d (%s): %w", i, op.kind, err)
 		}
+		r.endSpan(sp)
 	}
 	if r.replica != nil && !r.crashed {
 		// Catch the replica fully up before the end-of-schedule crash:
@@ -351,13 +378,62 @@ func (c Config) RunSchedule(s Schedule, want [][]uint64) (*Result, error) {
 			res.OpHashes[i] = fd.OpHashes()
 		}
 	}
-	res.Served, res.Shed = r.served, r.shed
+	if c.spans && rebalanced && !r.crashed {
+		dst := shards
+		r.spans = append(r.spans, OpSpan{Op: -1, Kind: "reshard", Shard: dst, Hi: res.Ops[dst], Tail: holdsTail(r.engines[dst])})
+	}
+	res.Served, res.Shed, res.Spans = r.served, r.shed, r.spans
 	if !record {
 		if err := r.verifyReplayHashes(want); err != nil {
 			return res, err
 		}
 	}
 	return res, r.verify(res, record, rebalanced, ringBefore)
+}
+
+// beginSpan starts op i's span when the config records spans: single-key
+// ops on a live shard.
+func (r *runner) beginSpan(i int, op traceOp) *OpSpan {
+	if !r.cfg.spans || len(op.subs) != 1 || r.crashed {
+		return nil
+	}
+	key := op.subs[0].key
+	id := r.cluster.Ring().Shard(relName, []byte(key))
+	db := r.engines[id]
+	return &OpSpan{Op: i, Kind: op.kind.String(), Key: key, Shard: id, Lo: r.fds[id].Ops(),
+		BaseTail: endsInTail(db, key), hits: db.DedupStats().Hits}
+}
+
+// endSpan closes sp, unless the op crashed its shard.
+func (r *runner) endSpan(sp *OpSpan) {
+	if sp == nil || r.crashed {
+		return
+	}
+	db := r.engines[sp.Shard]
+	sp.Hi, sp.Tail = r.fds[sp.Shard].Ops(), endsInTail(db, sp.Key)
+	sp.Adopted = db.DedupStats().Hits > sp.hits
+	r.spans = append(r.spans, *sp)
+}
+
+// endsInTail reports whether key's Blob State ends in a tail extent. It
+// reads the tree only, never the device.
+func endsInTail(db *core.DB, key string) bool {
+	tx := db.Begin(nil)
+	defer tx.Commit()
+	st, err := tx.BlobState(relName, []byte(key))
+	return err == nil && st.HasTail()
+}
+
+// holdsTail reports whether any Blob State of db ends in a tail extent.
+func holdsTail(db *core.DB) bool {
+	tx := db.Begin(nil)
+	defer tx.Commit()
+	found := false
+	tx.Scan(relName, nil, func(_, _ []byte, st *blob.State) bool {
+		found = st != nil && st.HasTail()
+		return !found
+	})
+	return found
 }
 
 // open formats shard i's engine on its fault device.

@@ -3,6 +3,7 @@ package crashsim
 import (
 	"flag"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -188,6 +189,61 @@ func TestComposedSchedulesShort(t *testing.T) {
 	}
 }
 
+// TestTailSchedules crashes at every device op inside trace ops that
+// handle tail extents, under both tear modes: a put whose last extent
+// becomes its tail at Close, an append that turns a tail back into the
+// tier extent it stood in for, a dedup put that adopts a tail-ending
+// sequence, and a live reshard whose installs leave tail-ending states on
+// the destination. Each case takes the first such op in the first traces
+// of its family that have one.
+func TestTailSchedules(t *testing.T) {
+	base := DefaultConfig(*flagSeed + 6)
+	dedup := base
+	dedup.Dedup = true
+	topo := DefaultTopoConfig(*flagSeed + 6)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		reb  bool
+		pick func(OpSpan) bool
+	}{
+		{"put-converts-tail", base, false, func(s OpSpan) bool { return s.Kind == "put" && s.Tail }},
+		{"append-clones-tail", base, false, func(s OpSpan) bool { return s.Kind == "append" && s.BaseTail }},
+		{"dedup-adopts-tail", dedup, false, func(s OpSpan) bool { return s.Kind == "put-dup" && s.Adopted && s.Tail }},
+		{"reshard-installs-tail", topo, true, func(s OpSpan) bool { return s.Kind == "reshard" && s.Tail }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.spans = true
+			master := rand.New(rand.NewSource(cfg.Seed))
+			for i := 0; i < 8; i++ {
+				seed := master.Int63()
+				rec, err := cfg.RunSchedule(Schedule{TraceSeed: seed, CrashOp: -1, Mode: storage.TearOrdered, Rebalance: tc.reb}, nil)
+				if err != nil {
+					t.Fatalf("record pass of trace-seed=%d: %v", seed, err)
+				}
+				for _, sp := range rec.Spans {
+					if !tc.pick(sp) {
+						continue
+					}
+					for op := sp.Lo; op < sp.Hi; op++ {
+						for _, mode := range []storage.TearMode{storage.TearOrdered, storage.TearScramble} {
+							s := Schedule{TraceSeed: seed, CrashShard: sp.Shard, CrashOp: op, Mode: mode, Rebalance: tc.reb}
+							if _, err := cfg.RunSchedule(s, rec.OpHashes); err != nil {
+								t.Errorf("schedule %v (inside %s of %q, trace op %d) failed: %v", s, sp.Kind, sp.Key, sp.Op, err)
+							}
+						}
+					}
+					t.Logf("trace-seed=%d: crashed at each of device ops %d..%d of shard %d, inside %s of %q (trace op %d)",
+						seed, sp.Lo, sp.Hi-1, sp.Shard, sp.Kind, sp.Key, sp.Op)
+					return
+				}
+			}
+			t.Fatal("none of the first eight traces has such an op")
+		})
+	}
+}
+
 // replay re-runs one schedule identified by the flags every Failure
 // prints; shards and pullEvery are the defaults when -topo-shards and
 // -pull-every are unset. It is skipped unless -trace-seed or -crashpoint
@@ -232,15 +288,18 @@ func TestReplayFailoverSchedule(t *testing.T) { replay(t, 1, 1) }
 // recordPins fixes the record pass (no mid-trace crash) of each trace the
 // regression schedules below use: its mutating-op count and final op
 // hash. Those crash points are only meaningful while the I/O schedule
-// stays the one they were found on.
+// stays the one they were found on. Tail extents moved extent addresses
+// but kept every op's kind and place in the sequence: the checkpoint
+// image writes are still ops 56, 74, 83 and 131, and each point still
+// reproduces its bug with its fix reverted.
 var recordPins = []struct {
 	seed  int64
 	dedup bool
 	ops   int
 	hash  uint64
 }{
-	{7338701143958340983, false, 135, 0x3b6cb2c2f413ba76},
-	{8940310146990858404, true, 118, 0xaf0c2d5eca160f74},
+	{7338701143958340983, false, 135, 0xda8b3e9f192c01ff},
+	{8940310146990858404, true, 118, 0x7289474d3a4fe5b},
 }
 
 // regressionSchedules pins crash points that surfaced real recovery bugs.

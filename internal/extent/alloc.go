@@ -18,8 +18,12 @@ var ErrFull = errors.New("extent: allocator full")
 // free list and later allocations of the same tier pop them in O(1)
 // (§III-D "BLOB deletion and extent reusability"). Tail extents have
 // arbitrary sizes and use a best-fit free list with remainder splitting.
-// The design goal demonstrated by Figure 11 is that recycling stays cheap
-// and effective even at high storage utilization.
+// The two lists are one free space: a tier allocation with no same-tier
+// entry carves a best fit from the tail list, and a tail with no fitting
+// tail entry carves the smallest freed tier extent that holds it, before
+// either bumps the high-water mark. The design goal demonstrated by
+// Figure 11 is that recycling stays cheap and effective even at high
+// storage utilization.
 type Allocator struct {
 	tiers *TierTable
 
@@ -63,8 +67,9 @@ func (a *Allocator) HWM() storage.PID {
 	return a.next
 }
 
-// AllocExtent allocates one extent of the given tier, reusing a freed
-// extent when available.
+// AllocExtent allocates one extent of the given tier: a freed extent of
+// the same tier, else a best-fit carve from the tail free list (where
+// Rebuild puts every gap after a restart), else fresh space.
 func (a *Allocator) AllocExtent(tier int) (storage.PID, error) {
 	size := a.tiers.Size(tier)
 	a.mu.Lock()
@@ -79,6 +84,11 @@ func (a *Allocator) AllocExtent(tier int) (storage.PID, error) {
 			a.reuses++
 			return pid, nil
 		}
+	}
+	if pid, ok := a.carveTailLocked(size); ok {
+		a.allocs++
+		a.reuses++
+		return pid, nil
 	}
 	pid, err := a.bump(size)
 	if err != nil {
@@ -102,28 +112,24 @@ func (a *Allocator) FreeExtent(tier int, pid storage.PID) {
 	a.livePages -= size
 }
 
-// AllocTail allocates an arbitrarily-sized tail extent using best fit over
-// the tail free list, splitting any remainder back onto the list.
+// AllocTail allocates an arbitrarily-sized tail extent: a best fit from
+// the tail free list, else a carve from the smallest freed tier extent
+// that holds it, else fresh space. A carve's remainder goes back onto the
+// tail free list.
 func (a *Allocator) AllocTail(npages uint64) (storage.PID, error) {
 	if npages == 0 {
 		return storage.InvalidPID, errors.New("extent: zero-page tail")
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	// Best fit: first entry with Pages >= npages (tailFree sorted by Pages).
-	i := sort.Search(len(a.tailFree), func(i int) bool { return a.tailFree[i].Pages >= npages })
-	if i < len(a.tailFree) {
-		e := a.tailFree[i]
-		a.tailFree = append(a.tailFree[:i], a.tailFree[i+1:]...)
-		a.freePages -= e.Pages
-		if e.Pages > npages {
-			a.insertTailLocked(Extent{PID: e.PID + storage.PID(npages), Pages: e.Pages - npages})
-			a.freePages += e.Pages - npages
-		}
-		a.livePages += npages
+	pid, ok := a.carveTailLocked(npages)
+	if !ok {
+		pid, ok = a.carveTierLocked(npages)
+	}
+	if ok {
 		a.tailAllocs++
 		a.tailReuses++
-		return e.PID, nil
+		return pid, nil
 	}
 	pid, err := a.bump(npages)
 	if err != nil {
@@ -131,6 +137,45 @@ func (a *Allocator) AllocTail(npages uint64) (storage.PID, error) {
 	}
 	a.tailAllocs++
 	return pid, nil
+}
+
+// carveTailLocked takes npages from the best-fitting tail free-list entry
+// (the first with Pages >= npages; tailFree is sorted by Pages).
+func (a *Allocator) carveTailLocked(npages uint64) (storage.PID, bool) {
+	i := sort.Search(len(a.tailFree), func(i int) bool { return a.tailFree[i].Pages >= npages })
+	if i == len(a.tailFree) {
+		return storage.InvalidPID, false
+	}
+	e := a.tailFree[i]
+	a.tailFree = append(a.tailFree[:i], a.tailFree[i+1:]...)
+	return a.takeLocked(e, npages), true
+}
+
+// carveTierLocked takes npages from a freed extent of the smallest tier
+// that holds them.
+func (a *Allocator) carveTierLocked(npages uint64) (storage.PID, bool) {
+	for tier, l := range a.free {
+		size := a.tiers.Size(tier)
+		if size < npages || len(l) == 0 {
+			continue
+		}
+		pid := l[len(l)-1]
+		a.free[tier] = l[:len(l)-1]
+		return a.takeLocked(Extent{PID: pid, Pages: size}, npages), true
+	}
+	return storage.InvalidPID, false
+}
+
+// takeLocked hands out the first npages of e, a free entry its caller has
+// just removed from its list; the rest goes onto the tail free list.
+func (a *Allocator) takeLocked(e Extent, npages uint64) storage.PID {
+	a.freePages -= e.Pages
+	if e.Pages > npages {
+		a.insertTailLocked(Extent{PID: e.PID + storage.PID(npages), Pages: e.Pages - npages})
+		a.freePages += e.Pages - npages
+	}
+	a.livePages += npages
+	return e.PID
 }
 
 // FreeTail returns a tail extent to the tail free list.

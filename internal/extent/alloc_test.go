@@ -269,3 +269,32 @@ func TestHighUtilizationReuse(t *testing.T) {
 		t.Errorf("failed allocations at utilization %.2f", s.Utilization)
 	}
 }
+
+// TestTailCarvesFreedTierExtent: with no fitting tail entry, a tail takes
+// the front of the smallest freed tier extent that holds it instead of
+// bumping the high-water mark.
+func TestTailCarvesFreedTierExtent(t *testing.T) {
+	a := NewAllocator(NewTierTable(10), 0, 10000)
+	tt := a.Tiers()
+	small, _ := a.AllocExtent(1)
+	big, _ := a.AllocExtent(3)
+	_, _ = a.AllocTail(1) // keeps the freed extents off the fresh region
+	a.FreeExtent(3, big)
+	a.FreeExtent(1, small)
+	hwm := a.HWM()
+	n := tt.Size(1) - 1
+	pid, err := a.AllocTail(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pid != small {
+		t.Errorf("tail of %d pages at %d; want the smallest freed tier extent at %d", n, pid, small)
+	}
+	if a.HWM() != hwm {
+		t.Errorf("HWM moved from %d to %d", hwm, a.HWM())
+	}
+	// The one-page remainder now serves a one-page tail.
+	if pid, _ := a.AllocTail(1); pid != small+storage.PID(n) {
+		t.Errorf("remainder not reused: got %d, want %d", pid, small+storage.PID(n))
+	}
+}

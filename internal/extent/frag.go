@@ -16,58 +16,69 @@ import (
 
 // AllocExtentBelow allocates one extent of the given tier strictly below
 // the page address limit, reusing freed space only — it never bumps the
-// high-water mark (that would be anti-compaction). It prefers the
-// lowest-addressed candidate, taking either a same-tier free-list entry or
-// a carve from the tail free list. Returns false when no free slot below
-// the limit can hold the extent.
+// high-water mark (that would be anti-compaction). It takes the
+// lowest-addressed free entry below the limit that can hold the extent:
+// a freed tier extent at least as large, or a tail free-list entry.
+// Returns false when no free slot below the limit can hold the extent.
 func (a *Allocator) AllocExtentBelow(tier int, limit storage.PID) (storage.PID, bool) {
-	size := a.tiers.Size(tier)
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	pid, ok := a.takeBelowLocked(a.tiers.Size(tier), limit)
+	if ok {
+		a.allocs++
+		a.reuses++
+	}
+	return pid, ok
+}
 
-	// Lowest-addressed same-tier free entry below the limit.
-	bestIdx := -1
-	if tier < len(a.free) {
-		for i, pid := range a.free[tier] {
-			if pid < limit && (bestIdx < 0 || pid < a.free[tier][bestIdx]) {
-				bestIdx = i
+// AllocTailBelow is AllocExtentBelow for a tail extent of npages: the
+// defragmenter moves tails too, or one at the top of the region would pin
+// the high-water mark.
+func (a *Allocator) AllocTailBelow(npages uint64, limit storage.PID) (storage.PID, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	pid, ok := a.takeBelowLocked(npages, limit)
+	if ok {
+		a.tailAllocs++
+		a.tailReuses++
+	}
+	return pid, ok
+}
+
+// takeBelowLocked removes the lowest-addressed free entry below limit that
+// holds npages and hands out its first npages pages. Free space never
+// overlaps live extents, so an entry starting below the limit lies wholly
+// below the relocation source.
+func (a *Allocator) takeBelowLocked(npages uint64, limit storage.PID) (storage.PID, bool) {
+	best, bestTier, bestIdx := storage.PID(0), 0, -1
+	for tier, l := range a.free {
+		if a.tiers.Size(tier) < npages {
+			continue
+		}
+		for i, pid := range l {
+			if pid < limit && (bestIdx < 0 || pid < best) {
+				best, bestTier, bestIdx = pid, tier, i
 			}
 		}
 	}
-	// Lowest-addressed tail free entry below the limit that can hold the
-	// extent. Free space never overlaps live extents, so PID < limit
-	// implies the whole carve sits below the relocation source.
-	tailIdx := -1
 	for i, e := range a.tailFree {
-		if e.PID < limit && e.Pages >= size && (tailIdx < 0 || e.PID < a.tailFree[tailIdx].PID) {
-			tailIdx = i
+		if e.PID < limit && e.Pages >= npages && (bestIdx < 0 || e.PID < best) {
+			best, bestTier, bestIdx = e.PID, -1, i
 		}
 	}
-
-	if bestIdx >= 0 && (tailIdx < 0 || a.free[tier][bestIdx] <= a.tailFree[tailIdx].PID) {
-		pid := a.free[tier][bestIdx]
-		l := a.free[tier]
-		a.free[tier] = append(l[:bestIdx], l[bestIdx+1:]...)
-		a.freePages -= size
-		a.livePages += size
-		a.allocs++
-		a.reuses++
-		return pid, true
+	if bestIdx < 0 {
+		return storage.InvalidPID, false
 	}
-	if tailIdx >= 0 {
-		e := a.tailFree[tailIdx]
-		a.tailFree = append(a.tailFree[:tailIdx], a.tailFree[tailIdx+1:]...)
-		a.freePages -= e.Pages
-		if e.Pages > size {
-			a.insertTailLocked(Extent{PID: e.PID + storage.PID(size), Pages: e.Pages - size})
-			a.freePages += e.Pages - size
-		}
-		a.livePages += size
-		a.allocs++
-		a.reuses++
-		return e.PID, true
+	var e Extent
+	if bestTier < 0 {
+		e = a.tailFree[bestIdx]
+		a.tailFree = append(a.tailFree[:bestIdx], a.tailFree[bestIdx+1:]...)
+	} else {
+		l := a.free[bestTier]
+		e = Extent{PID: best, Pages: a.tiers.Size(bestTier)}
+		a.free[bestTier] = append(l[:bestIdx], l[bestIdx+1:]...)
 	}
-	return storage.InvalidPID, false
+	return a.takeLocked(e, npages), true
 }
 
 // ShrinkHWM retracts the bump pointer over free space that touches it:

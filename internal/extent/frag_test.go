@@ -106,3 +106,28 @@ func TestFragStatsScore(t *testing.T) {
 		t.Errorf("TierFree = %v", fs.TierFree)
 	}
 }
+
+// TestAllocTailBelow: a tail moves down into the lowest free space below
+// it that holds it — here a freed tier extent, whose remainder stays free.
+func TestAllocTailBelow(t *testing.T) {
+	a := NewAllocator(NewTierTable(10), 100, 10000)
+	size := a.Tiers().Size(2)
+	low, _ := a.AllocExtent(2)
+	mid, _ := a.AllocTail(3)
+	top, _ := a.AllocTail(size - 1)
+	a.FreeExtent(2, low)
+	a.FreeTail(mid, 3)
+	if _, ok := a.AllocTailBelow(size+1, top); ok {
+		t.Fatal("AllocTailBelow took an entry too small for the tail")
+	}
+	got, ok := a.AllocTailBelow(size-1, top)
+	if !ok || got != low {
+		t.Fatalf("AllocTailBelow = %d, %v; want the freed tier extent at %d", got, ok, low)
+	}
+	if s := a.Stats(); s.FreePages != 3+1 || s.LivePages != 2*(size-1) {
+		t.Errorf("stats = %+v; want the 1-page remainder and the 3-page tail free", s)
+	}
+	if a.HWM() != top+storage.PID(size-1) {
+		t.Errorf("HWM moved to %d", a.HWM())
+	}
+}

@@ -113,3 +113,32 @@ func TestRebuildThenAllocateRandomized(t *testing.T) {
 		}
 	}
 }
+
+// TestRebuildGapsServeTierAllocations: Rebuild puts every gap on the tail
+// free list, and AllocExtent carves a best fit from it before bumping, so
+// tier extents reuse free space after a restart and the high-water mark
+// stays put.
+func TestRebuildGapsServeTierAllocations(t *testing.T) {
+	a := NewAllocator(NewTierTable(10), 100, 1000)
+	size := a.Tiers().Size(1)
+	// Gaps: [100,150) = 50 pages, [160,160+size+2), and the top one.
+	live := []Extent{{PID: 150, Pages: 10}, {PID: 160 + storage.PID(size) + 2, Pages: 8}}
+	hwm := storage.PID(400)
+	if err := a.Rebuild(hwm, live); err != nil {
+		t.Fatal(err)
+	}
+	pid, err := a.AllocExtent(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pid != 160 {
+		t.Errorf("tier-1 extent (%d pages) at %d; want the best-fitting gap at 160", size, pid)
+	}
+	if a.HWM() != hwm {
+		t.Errorf("HWM moved from %d to %d", hwm, a.HWM())
+	}
+	s := a.Stats()
+	if s.Reuses != 1 || s.LivePages != 18+size || s.FreePages != 282-size {
+		t.Errorf("stats = %+v; want 1 reuse, %d live, %d free", s, 18+size, 282-size)
+	}
+}
