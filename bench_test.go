@@ -91,5 +91,6 @@ func BenchmarkAblationUpdateSchemes(b *testing.B) { runExperiment(b, "ablation-u
 // BenchmarkAblationTierSweep sweeps tiers-per-level (capacity vs waste).
 func BenchmarkAblationTierSweep(b *testing.B) { runExperiment(b, "ablation-tiers") }
 
-// BenchmarkAblationAging measures the §VI out-of-place-write extension.
+// BenchmarkAblationAging measures heap aging under create/overwrite/delete
+// churn and the online defragmenter (internal/maint) that undoes it.
 func BenchmarkAblationAging(b *testing.B) { runExperiment(b, "ablation-aging") }

@@ -28,8 +28,10 @@
 //     extent to durable ahead of its remap record.
 //
 // Reads are not ordering-sensitive and are never flagged. Simulator and
-// tooling packages (oskern, dbsim, bench, remap) are out of scope —
-// they model devices rather than mutate the engine's.
+// tooling packages (oskern, dbsim, bench) are out of scope: they model
+// devices or drive the engine from outside. bench's Our.physlog adapter
+// does append blob bytes to the WAL and flush them ahead of the commit,
+// but that is the baseline being measured, not an engine write path.
 //
 // Syncs are also tracked *through* calls: a non-committer function that
 // reaches Device.Sync transitively — through any chain of helpers whose

@@ -46,6 +46,9 @@ type OurSystem struct {
 	DB   *core.DB
 	rel  string
 	ht   bool // page-granular pool: reads must materialize (two copies)
+	// physlog: Put also logs the content to the WAL (the Our.physlog
+	// baseline); the engine itself logs only the Blob State.
+	physlog bool
 }
 
 // OurVariant selects the engine configuration.
@@ -84,7 +87,6 @@ func NewOurSystem(v OurVariant, o OurOptions) (*OurSystem, error) {
 		core.WithLogPages(o.LogPages),
 		core.WithCkptPages(o.DevPages/16),
 		core.WithHashTablePool(v == VariantOurHT),
-		core.WithPhysicalBlobLog(v == VariantOurPhyslog),
 		core.WithTailExtents(!o.TierOnly),
 		core.WithAliasPages(o.WorkerLocalAliasPages),
 		core.WithWALBufferCap(o.WALBufferCap),
@@ -98,7 +100,7 @@ func NewOurSystem(v OurVariant, o OurOptions) (*OurSystem, error) {
 	name := map[OurVariant]string{
 		VariantOur: "Our", VariantOurHT: "Our.ht", VariantOurPhyslog: "Our.physlog",
 	}[v]
-	return &OurSystem{name: name, DB: db, rel: "bench", ht: v == VariantOurHT}, nil
+	return &OurSystem{name: name, DB: db, rel: "bench", ht: v == VariantOurHT, physlog: v == VariantOurPhyslog}, nil
 }
 
 // Name implements System.
@@ -123,6 +125,21 @@ func (s *OurSystem) Put(m *simtime.Meter, key string, content []byte) error {
 		return err
 	}
 	m.CountBytesMoved(int64(len(content))) // the copy into the extent frames
+	if s.physlog {
+		// The content goes through the WAL as well, flushed ahead of the
+		// commit and charged as background work like the committer's
+		// flush.
+		lw := s.DB.WAL().NewWriter()
+		err := lw.AppendBlobData(nil, tx.ID(), content)
+		if err == nil {
+			err = lw.Flush(nil)
+		}
+		lw.Close()
+		if err != nil {
+			tx.Abort()
+			return err
+		}
+	}
 	return commitAsync(tx)
 }
 

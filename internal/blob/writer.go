@@ -45,9 +45,6 @@ type WriterOpts struct {
 	// hashes the state of every key a transaction it cannot prove landed
 	// names, committed or not.
 	Stream bool
-	// Tee, if set, observes every chunk before it is absorbed — the
-	// physlog baseline appends the content to the WAL through it.
-	Tee func(chunk []byte) error
 	// Base selects append mode: the writer resumes the SHA-256 from
 	// Base.Intermediate and extends the extent sequence (§III-D grow). Nil
 	// creates a new blob.
@@ -91,7 +88,6 @@ type Writer struct {
 	stream  bool
 	useTail bool
 	expect  uint64 // ExpectSize: the blob's announced final size, 0 if unknown
-	tee     func([]byte) error
 	onSeal  func(*State, *Pending, []FreeSpec) error
 	onAbort func()
 
@@ -144,7 +140,6 @@ func (m *Manager) NewWriter(o WriterOpts) (*Writer, error) {
 		tiers:         m.Alloc.Tiers(),
 		stream:        o.Stream,
 		useTail:       m.UseTail,
-		tee:           o.Tee,
 		onSeal:        o.OnSeal,
 		onAbort:       o.OnAbort,
 		cloneFrontier: o.CloneFrontier,
@@ -527,11 +522,6 @@ func (w *Writer) Write(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	if w.tee != nil {
-		if err := w.tee(p); err != nil {
-			return 0, w.fail(err)
-		}
-	}
 	written := 0
 	for len(p) > 0 {
 		if err := w.ensureSpace(); err != nil {
@@ -567,11 +557,6 @@ func (w *Writer) ReadFrom(r io.Reader) (int64, error) {
 				n, err := r.Read(cont[w.curUsed:w.curCap])
 				if n > 0 {
 					chunk := cont[w.curUsed : w.curUsed+n]
-					if w.tee != nil {
-						if terr := w.tee(chunk); terr != nil {
-							return total, w.fail(terr)
-						}
-					}
 					ps := w.mgr.Pool.PageSize()
 					w.cur.MarkDirty(w.curUsed/ps, (w.curUsed+n+ps-1)/ps)
 					w.absorb(chunk)

@@ -204,7 +204,9 @@ func (c *committer) currentFlight() *commitFlight {
 }
 
 // enqueue hands a transaction to the committer, blocking while the
-// pipeline holds more than its byte budget of pinned frames. If the
+// pipeline holds more than its byte budget of pinned frames — except
+// inside a HoldCommits window, where the parked committer could never
+// return budget and the held batch takes what it pins. If the
 // transaction's context is cancelled before the handoff happens, enqueue
 // gives up and returns the context error — a cancelled HTTP request stops
 // waiting for pipeline capacity instead of leaking a blocked goroutine.
@@ -226,7 +228,7 @@ func (c *committer) enqueue(t *Txn) error {
 	})
 	defer stop()
 	c.flowMu.Lock()
-	for c.inflight > 0 && c.inflight+tb > c.budgetBytes {
+	for c.inflight > 0 && c.inflight+tb > c.budgetBytes && !c.holding() {
 		if err := t.ctx.Err(); err != nil {
 			c.flowMu.Unlock()
 			return err
@@ -270,6 +272,13 @@ func (t *Txn) pendingBytes() int64 {
 	return n
 }
 
+// holding reports whether a HoldCommits window is open.
+func (c *committer) holding() bool {
+	c.gateMu.Lock()
+	defer c.gateMu.Unlock()
+	return c.gated
+}
+
 // waitGate parks the committer while a HoldCommits window is open.
 func (c *committer) waitGate() {
 	c.gateMu.Lock()
@@ -284,12 +293,24 @@ func (c *committer) waitGate() {
 // being committed one by one. ReleaseCommits lets them go as a single
 // group-commit batch of known composition — the crash-simulation harness
 // uses this to make batch boundaries deterministic. Every HoldCommits
-// must be paired with ReleaseCommits; inside the window use CommitAsync
-// (Commit, DrainCommits and CloseCommitter deadlock under an open hold).
+// must be paired with ReleaseCommits. Inside the window use CommitAsync:
+// it does not wait for the commit byte budget there, so held batches may
+// pin more than half the pool. Every call that waits for a write
+// transaction's commit deadlocks under an open hold: Txn.Commit and
+// Txn.CommitWait of a transaction that wrote, DB.Install, DB.Delete,
+// DB.ApplyReplicated, DB.DrainCommits and DB.CloseCommitter. So does a
+// CommitAsync once the committer's queue (64 transactions, plus the one
+// the parked committer holds) is full. DB.CreateRelation syncs its own
+// commit record and does not wait for the committer.
 func (db *DB) HoldCommits() {
-	db.commit.gateMu.Lock()
-	db.commit.gated = true
-	db.commit.gateMu.Unlock()
+	c := db.commit
+	c.gateMu.Lock()
+	c.gated = true
+	c.gateMu.Unlock()
+	// Wake enqueues already waiting for budget: the hold lets them in.
+	c.flowMu.Lock()
+	c.flowCond.Broadcast()
+	c.flowMu.Unlock()
 }
 
 // ReleaseCommits ends a HoldCommits window.

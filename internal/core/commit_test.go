@@ -367,3 +367,59 @@ func TestIdleDBHoldsNoGoroutine(t *testing.T) {
 	}
 	waitGoroutines(t, base)
 }
+
+// TestHeldCommitsSkipTheByteBudget: only the committer returns budget, and
+// under HoldCommits it is parked at the gate, so a held CommitAsync that
+// waited for budget would wait forever. Eight held 250 KiB puts pin 504
+// pages: they fit a 768-page pool but are 1.3 times its budget (half the
+// pool). Every one must be enqueued and, after ReleaseCommits,
+// acknowledged. CreateRelation does not wait for the committer, so it
+// works inside the hold too.
+func TestHeldCommitsSkipTheByteBudget(t *testing.T) {
+	db := openTest(t, options{Dev: storage.NewMemDevice(ps, 1<<12, nil), PoolPages: 768, LogPages: 1 << 8, CkptPages: 1 << 8})
+	db.HoldCommits()
+	if _, err := db.CreateRelation("r"); err != nil {
+		t.Fatal(err)
+	}
+	enqueued := make(chan []<-chan error, 1)
+	go func() {
+		var acks []<-chan error
+		defer func() { enqueued <- acks }()
+		for i := 0; i < 8; i++ {
+			tx := db.Begin(nil)
+			if err := putBlob(tx, "r", []byte(fmt.Sprintf("k%d", i)), bytes.Repeat([]byte{byte(i)}, 250<<10)); err != nil {
+				t.Error(err)
+				return
+			}
+			ack, err := tx.CommitAsync()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			acks = append(acks, ack)
+		}
+	}()
+	var acks []<-chan error
+	select {
+	case acks = <-enqueued:
+	case <-time.After(20 * time.Second):
+		t.Fatal("a held CommitAsync is blocked on the commit byte budget")
+	}
+	db.ReleaseCommits()
+	for i, ack := range acks {
+		select {
+		case err := <-ack:
+			if err != nil {
+				t.Errorf("held commit %d: %v", i, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("held commit %d was not acknowledged after ReleaseCommits", i)
+		}
+	}
+	if len(acks) != 8 {
+		t.Fatalf("%d of 8 held commits enqueued", len(acks))
+	}
+	if err := db.CloseCommitter(); err != nil {
+		t.Fatal(err)
+	}
+}

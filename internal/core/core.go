@@ -41,9 +41,6 @@ type options struct {
 	// HashTablePool selects the Our.ht baseline buffer manager instead of
 	// the vmcache-style pool.
 	HashTablePool bool
-	// PhysicalBlobLog selects the Our.physlog baseline: blob content is
-	// appended to the WAL in addition to the Blob State.
-	PhysicalBlobLog bool
 	// TierOnly turns §III-A tail extents off: every blob ends in a
 	// whole tier extent. Only the ablation's tier-formula row sets it.
 	TierOnly bool
@@ -113,6 +110,11 @@ type Relation struct {
 	// staged to that transaction and the key's last landed value; guarded
 	// by mu together with tree (landed.go).
 	staged map[string]*stagedKey
+}
+
+// newRelation wraps tree as relation name with no secondary indexes.
+func newRelation(name string, tree *btree.Tree) *Relation {
+	return &Relation{name: name, tree: tree, semanticIdx: map[string]*SemanticIndex{}}
 }
 
 // Name returns the relation name.
@@ -198,15 +200,42 @@ func (db *DB) AliasManager() *buffer.AliasManager { return db.alias }
 func (db *DB) Queue() *storage.SubQueue { return db.queue }
 
 // CreateRelation creates a relation ("CREATE TABLE image(filename VARCHAR
-// PRIMARY KEY, content BLOB)" maps to CreateRelation("image")).
+// PRIMARY KEY, content BLOB)" maps to CreateRelation("image")) and returns
+// once the creation is durable. Creation lands no extents, so its commit
+// record needs only a WAL sync, not the group committer: CreateRelation
+// works inside a HoldCommits window too.
 func (db *DB) CreateRelation(name string) (*Relation, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.rels[name]; ok {
-		return nil, fmt.Errorf("core: %q: %w", name, ErrRelExists)
+	t := db.Begin(nil)
+	defer db.endTxn(t.id)
+	r, err := t.createRelation(name)
+	if err == nil {
+		_, err = t.writer.CommitNoSync(nil, t.id)
 	}
-	r := &Relation{name: name, tree: btree.New(nil), semanticIdx: map[string]*SemanticIndex{}}
+	t.writer.Close()
+	if err != nil {
+		return nil, err
+	}
+	return r, db.wal.Sync(nil)
+}
+
+// createRelation publishes the relation and then logs its creation in t:
+// a wal.RecBegin record whose payload is the name, redone at recovery once
+// t commits. Publishing first keeps the recovery LSN rule: a checkpoint
+// image that lacks the relation has an LSN below the creation record.
+func (t *Txn) createRelation(name string) (*Relation, error) {
+	db := t.db
+	db.mu.Lock()
+	if _, ok := db.rels[name]; ok {
+		db.mu.Unlock()
+		return nil, fmt.Errorf("core: %q: %w", name, ErrRelationExists)
+	}
+	r := newRelation(name, btree.New(nil))
 	db.rels[name] = r
+	db.mu.Unlock()
+	if _, err := t.log().AppendLSN(t.meter, t.id, wal.RecBegin, []byte(name)); err != nil {
+		return nil, err
+	}
+	t.wrote = true
 	return r, nil
 }
 

@@ -129,7 +129,9 @@ func TestBlobPutReadDelete(t *testing.T) {
 
 func TestBlobSingleFlushWriteAmplification(t *testing.T) {
 	// End-to-end single-flush check: committing N blob bytes writes N (plus
-	// small WAL records) — not 2N as physlog/conventional engines do.
+	// small WAL records) — not 2N as physlog/conventional engines do (the
+	// Our.physlog comparison is TestPhyslogWriteAmplification in
+	// internal/bench).
 	o := testOpts()
 	db := openTest(t, o)
 	db.CreateRelation("r")
@@ -146,24 +148,6 @@ func TestBlobSingleFlushWriteAmplification(t *testing.T) {
 	wa := db.WriteAmplification(logical)
 	if wa > 1.1 {
 		t.Errorf("write amplification = %.3f, want ~1.0 (single flush)", wa)
-	}
-
-	// The physlog baseline on identical traffic must be ~2x.
-	o2 := testOpts()
-	o2.PhysicalBlobLog = true
-	db2 := openTest(t, o2)
-	db2.CreateRelation("r")
-	for i := 0; i < 20; i++ {
-		content := bytes.Repeat([]byte{byte(i)}, 100<<10)
-		tx := db2.Begin(nil)
-		if err := putBlob(tx, "r", []byte(fmt.Sprintf("k%02d", i)), content); err != nil {
-			t.Fatal(err)
-		}
-		mustCommit(t, tx)
-	}
-	wa2 := db2.WriteAmplification(logical)
-	if wa2 < 1.8 {
-		t.Errorf("physlog write amplification = %.3f, want ~2.0", wa2)
 	}
 }
 

@@ -26,10 +26,6 @@ func WithCkptPages(n uint64) Option { return func(o *options) { o.CkptPages = n 
 // granular hash table) instead of the vmcache-style pool.
 func WithHashTablePool(on bool) Option { return func(o *options) { o.HashTablePool = on } }
 
-// WithPhysicalBlobLog selects the Our.physlog baseline: blob content is
-// appended to the WAL in addition to the Blob State.
-func WithPhysicalBlobLog(on bool) Option { return func(o *options) { o.PhysicalBlobLog = on } }
-
 // WithTailExtents selects the extent layout. On (the default), a static
 // blob ends in an exact-size tail extent (§III-A), so it wastes no pages.
 // Off ends every blob in a whole tier extent; only the ablation's

@@ -435,8 +435,7 @@ func recoverDB(o options, m *simtime.Meter) (*DB, *RecoveryReport, error) {
 	if ok {
 		hwm, ckptLSN, ledgerSeq = img.hwm, img.ckptLSN, img.ledgerSeq
 		for name, tree := range img.rels {
-			r := &Relation{name: name, tree: tree, semanticIdx: map[string]*SemanticIndex{}}
-			db.rels[name] = r
+			db.rels[name] = newRelation(name, tree)
 		}
 		for pid, c := range img.ledger {
 			replayed[pid] = c
@@ -626,22 +625,29 @@ func recoverDB(o options, m *simtime.Meter) (*DB, *RecoveryReport, error) {
 	}
 
 	// Redo: reapply logical records of committed, non-failed transactions
-	// in log order.
+	// in log order. A relation's creation record (RecBegin) and any tuple
+	// record create it if neither the image nor an earlier record did.
+	relation := func(name string) *Relation {
+		r, ok := db.rels[name]
+		if !ok {
+			r = newRelation(name, btree.New(nil))
+			db.rels[name] = r
+		}
+		return r
+	}
 	for _, rec := range records {
 		if !committed(rec.TxnID) || failed[rec.TxnID] {
 			continue
 		}
 		switch rec.Type {
+		case wal.RecBegin:
+			relation(string(rec.Payload))
 		case wal.RecHeapPut, wal.RecBlobState, wal.RecHeapDelete:
 			relName, key, value, err := parseHeapPayload(rec.Payload)
 			if err != nil {
 				return nil, nil, fmt.Errorf("core: redo LSN %d: %w", rec.LSN, err)
 			}
-			r, ok := db.rels[relName]
-			if !ok {
-				r = &Relation{name: relName, tree: btree.New(nil), semanticIdx: map[string]*SemanticIndex{}}
-				db.rels[relName] = r
-			}
+			r := relation(relName)
 			if rec.Type == wal.RecHeapDelete || len(value) == 0 {
 				r.tree.Delete(key)
 			} else {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 
 	"blobdb/internal/blob"
 	"blobdb/internal/storage"
+	"blobdb/internal/wal"
 )
 
 // crashEnv builds a DB, runs setup, then "crashes" by recovering a fresh DB
@@ -44,9 +46,10 @@ func TestRecoverCommittedBlobSurvives(t *testing.T) {
 	putBlob(tx, "image", []byte("k"), content)
 	mustCommit(t, tx)
 	// Crash. The committed blob's state is in the WAL and its extents were
-	// flushed at commit.
+	// flushed at commit. The other committed transaction is the
+	// relation's creation.
 	db2, rep := crashAndRecover(t, o)
-	if rep.CommittedTxns != 1 || rep.ValidatedBlobs != 1 || rep.FailedBlobs != 0 {
+	if rep.CommittedTxns != 2 || rep.ValidatedBlobs != 1 || rep.FailedBlobs != 0 {
 		t.Errorf("report = %+v", rep)
 	}
 	tx2 := db2.Begin(nil)
@@ -66,19 +69,17 @@ func TestRecoverUncommittedTxnVanishes(t *testing.T) {
 	db.CreateRelation("r")
 	tx := db.Begin(nil)
 	putBlob(tx, "r", []byte("ghost"), []byte("never committed"))
-	// Crash before Commit: WAL buffer never flushed.
+	// Crash before Commit: WAL buffer never flushed. The one committed
+	// transaction is the relation's creation.
 	db2, rep := crashAndRecover(t, o)
-	if rep.CommittedTxns != 0 {
+	if rep.CommittedTxns != 1 {
 		t.Errorf("report = %+v", rep)
 	}
-	if _, err := db2.Relation("r"); !errors.Is(err, ErrNoRelation) {
-		// The relation may not even exist post-crash (no committed records).
-		tx2 := db2.Begin(nil)
-		if _, err := tx2.ReadBlobBytes("r", []byte("ghost")); err == nil {
-			t.Error("uncommitted blob visible after crash")
-		}
-		tx2.Commit()
+	tx2 := db2.Begin(nil)
+	if _, err := tx2.ReadBlobBytes("r", []byte("ghost")); !errors.Is(err, ErrKeyNotFound) {
+		t.Errorf("uncommitted blob after crash: %v, want ErrKeyNotFound", err)
 	}
+	tx2.Commit()
 	_ = tx
 }
 
@@ -572,4 +573,43 @@ func TestRecoveryValidatesUsedPagesOnly(t *testing.T) {
 	if got := readCommitted(t, db2, "r", []byte("k")); !bytes.Equal(got, content) {
 		t.Error("recovered blob reads back wrong")
 	}
+}
+
+// TestCreatedRelationSurvivesCrash: CreateRelation returns once the
+// creation is durable, so a crash right after it, before any commit into
+// the relation and before any checkpoint, still recovers the relation.
+// The same holds for a relation a replica apply creates: its creation is
+// logged in the apply's own transaction, here one whose only record is
+// the idempotent delete of an absent key.
+func TestCreatedRelationSurvivesCrash(t *testing.T) {
+	opts := func(dev storage.Device) options {
+		return options{Dev: dev, PoolPages: 1 << 10, LogPages: 1 << 8, CkptPages: 1 << 8}
+	}
+	fd, err := storage.NewFaultDevice(storage.NewMemDevice(ps, 1<<12, nil),
+		storage.FaultConfig{Seed: 1, CrashOp: -1, Mode: storage.TearScramble})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := openTest(t, opts(fd))
+	if _, err := db.CreateRelation("r"); err != nil {
+		t.Fatal(err)
+	}
+	del := wal.Record{LSN: 1, TxnID: 1, Type: wal.RecHeapDelete, Payload: heapPutPayload("s", []byte("k"), nil)}
+	if err := db.ApplyReplicated(context.Background(), []wal.Record{del}, nil); err != nil {
+		t.Fatal(err)
+	}
+	fd.CrashNow()
+	db.CloseCommitter()
+	rdb, _, err := recoverDB(opts(fd.TakeCrashImage(nil)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdb.CloseCommitter()
+	for _, rel := range []string{"r", "s"} {
+		if _, err := rdb.Relation(rel); err != nil {
+			t.Errorf("relation %q lost in a crash after its creation returned: %v", rel, err)
+		}
+	}
+	// The recovered relation takes writes.
+	putCommitted(t, rdb, "r", []byte("k"), testContent(1, 10<<10))
 }

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 )
 
 // TestRelocateMovesTail: the planner names a blob's tail extent, the move
 // puts it into free space below, and the high-water mark retracts over the
 // vacated top; the blob reads back byte-identical, also after a restart.
+// The copy is on the device before the transaction that logs the remapped
+// Blob State commits.
 func TestRelocateMovesTail(t *testing.T) {
 	o := landedOpts()
 	db := openTest(t, o)
@@ -41,6 +44,17 @@ func TestRelocateMovesTail(t *testing.T) {
 	tx = db.Begin(nil)
 	if moved, err := tx.RelocateExtent(*tgt); !moved || err != nil {
 		t.Fatalf("RelocateExtent = %v, %v", moved, err)
+	}
+	staged, err := tx.BlobState("r", []byte("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDev := make([]byte, int(staged.Tail.Pages)*ps)
+	if err := o.Dev.ReadPages(nil, staged.Tail.PID, int(staged.Tail.Pages), onDev); err != nil {
+		t.Fatal(err)
+	}
+	if tail := v[db.Allocator().Tiers().Cum(len(staged.Extents)-1)*ps:]; !bytes.Equal(onDev[:len(tail)], tail) {
+		t.Error("the relocated tail is not on the device before its remap commits")
 	}
 	mustCommit(t, tx)
 	db.DrainCommits()

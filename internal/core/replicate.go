@@ -51,7 +51,9 @@ func (t *Txn) applyReplicatedRecord(ctx context.Context, rec wal.Record, fetch B
 		return fmt.Errorf("core: replicated record lsn %d: %w", rec.LSN, err)
 	}
 	if _, err := t.db.Relation(relName); err != nil {
-		if _, cerr := t.db.CreateRelation(relName); cerr != nil && !errors.Is(cerr, ErrRelationExists) {
+		// Logged in this transaction: the apply must not wait on a
+		// commit of its own.
+		if _, cerr := t.createRelation(relName); cerr != nil && !errors.Is(cerr, ErrRelationExists) {
 			return cerr
 		}
 	}

@@ -255,21 +255,12 @@ func (t *Txn) newBlobWriterOpts(ctx context.Context, relName string, key []byte,
 	if ctx == nil {
 		ctx = t.ctx
 	}
-	var tee func([]byte) error
-	if t.db.opts.PhysicalBlobLog {
-		// Our.physlog baseline: the blob content also goes through the
-		// WAL, charged as background work like the committer's flush.
-		tee = func(chunk []byte) error {
-			return t.log().AppendBlobData(nil, t.id, chunk)
-		}
-	}
 	keyCopy := append([]byte(nil), key...)
 	var w *blob.Writer
 	w, err = t.db.blobs.NewWriter(blob.WriterOpts{
 		Meter:         t.meter,
 		Ctx:           ctx,
 		Stream:        stream,
-		Tee:           tee,
 		Base:          base,
 		CloneFrontier: cloneFrontier,
 		OnAbort:       func() { t.dropWriter(w) },

@@ -324,7 +324,9 @@ func (c Config) RunSchedule(s Schedule, want [][]uint64) (*Result, error) {
 	// The per-shard gate never queues: ops are driven one at a time, so
 	// the router's slow path (a wall-clock timer) is never taken.
 	r.cluster = shard.New(r.engines[:shards], shard.Options{MaxInFlightPerShard: 4})
-	if err := r.cluster.CreateRelation(relName); err != nil {
+	// Creating the relation logs and syncs it on every shard, so the
+	// crash point can land here: the shard goes down before the trace.
+	if err := r.noteCrash(s.CrashShard, r.cluster.CreateRelation(relName)); err != nil {
 		return nil, err
 	}
 	if s.PullEvery > 0 {

@@ -288,18 +288,20 @@ func TestReplayFailoverSchedule(t *testing.T) { replay(t, 1, 1) }
 // recordPins fixes the record pass (no mid-trace crash) of each trace the
 // regression schedules below use: its mutating-op count and final op
 // hash. Those crash points are only meaningful while the I/O schedule
-// stays the one they were found on. Tail extents moved extent addresses
-// but kept every op's kind and place in the sequence: the checkpoint
-// image writes are still ops 56, 74, 83 and 131, and each point still
-// reproduces its bug with its fix reverted.
+// stays the one they were found on. A durable CreateRelation adds its WAL
+// block and sync ahead of the trace, which moved the checkpoint image
+// writes from ops 56, 74, 83 and 131 to 58, 76, 85 and 133. The scramble
+// tear is seeded by the crash op, so each point was re-checked against its
+// bug with the fix reverted, and the dedup point moved to the window that
+// still shows it.
 var recordPins = []struct {
 	seed  int64
 	dedup bool
 	ops   int
 	hash  uint64
 }{
-	{7338701143958340983, false, 135, 0xda8b3e9f192c01ff},
-	{8940310146990858404, true, 118, 0x7289474d3a4fe5b},
+	{7338701143958340983, false, 137, 0xc2918280ceadca83},
+	{8940310146990858404, true, 123, 0x9148e72334bf5117},
 }
 
 // regressionSchedules pins crash points that surfaced real recovery bugs.
@@ -307,29 +309,36 @@ var recordPins = []struct {
 //
 // Torn-second-checkpoint data loss: before checkpoints were dual-slot
 // (core/recover.go), the single checkpoint image was overwritten in
-// place. Crash point 74 of this trace lands inside the SECOND checkpoint
-// image write (the record pass writes checkpoint images at ops 56, 74,
-// 83 and 131, each followed by its sync and, after that, the write of its
+// place. Crash point 76 of this trace lands inside the SECOND checkpoint
+// image write (the record pass writes checkpoint images at ops 58, 76,
+// 85 and 133, each followed by its sync and, after that, the write of its
 // confirmation byte): with one slot the only redo base tears (CRC fails)
 // after the previous checkpoint truncated the log records it covered, and
-// committed blobs vanish. Op 75, the sync right after that image write, is the point
+// committed blobs vanish. Op 77, the sync right after that image write, is the point
 // between the second and third image writes where the same loss shows.
-// With the one-slot layout restored on a copy, both points lose a
-// committed key under the scramble tear; their ordered-tear twins stay
-// pinned as well.
+// With the one-slot layout restored on a copy, point 76 loses committed
+// key "k00" under the ordered tear and point 77 under the scramble tear;
+// the other mode of each point stays pinned as well.
 // Unconditionally-replayed refcount decrement double-free: apply-time
 // ledger decrements were originally logged under txn id 0 and replayed
-// unconditionally. Crash point 116 of this dedup trace syncs a
-// transaction's commit record, applies its deferred frees (logging a
-// decrement against a 3-way-shared extent), then tears the transaction's
-// own extent writes — recovery marks it failed and reverts its tuple to
-// the old state still referencing the shared extent, yet the decrement
-// replayed anyway: three surviving references, ledger count two, one
-// free away from recycling an extent under two live blobs. Decrements
-// now carry the staging transaction's id and replay under the same
-// committed-and-validated rule as increments. With decrements replayed
-// unconditionally on a copy, point 116 fails recovery under the scramble
-// tear ("referenced by 3 tuples but ledger replayed only 2").
+// unconditionally. Crash point 47 of this dedup trace syncs a
+// transaction's commit record (op 43), writes its extents (ops 44-46) and
+// logs the decrement of its deferred frees against a shared extent (op
+// 47), then tears the transaction's own extent writes — recovery marks it
+// failed and reverts its tuple to the old state still referencing the
+// shared extent, yet the decrement replayed anyway: two surviving
+// references, ledger count one, one free away from recycling an extent
+// under a live blob. Decrements now carry the staging transaction's id and
+// replay under the same committed-and-validated rule as increments. With
+// RecRefDelta batches replayed unconditionally on a copy, point 47 (and
+// op 48, the sync after it, and no other point of the trace) fails
+// recovery under the scramble tear ("referenced by 2 tuples but ledger
+// replayed only 1"); at the earlier I/O schedule the same window was
+// point 116 ("3 tuples but ... only 2").
+//
+// Points 74, 75 and 116 pinned these bugs at the earlier I/O schedule.
+// They no longer land on the writes named above, but they stay pinned as
+// ordinary schedules that must keep passing.
 var regressionSchedules = []struct {
 	s     Schedule
 	dedup bool
@@ -340,6 +349,12 @@ var regressionSchedules = []struct {
 	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 75, Mode: storage.TearScramble}, false},
 	{Schedule{TraceSeed: 8940310146990858404, CrashOp: 116, Mode: storage.TearScramble}, true},
 	{Schedule{TraceSeed: 8940310146990858404, CrashOp: 116, Mode: storage.TearOrdered}, true},
+	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 76, Mode: storage.TearOrdered}, false},
+	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 76, Mode: storage.TearScramble}, false},
+	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 77, Mode: storage.TearOrdered}, false},
+	{Schedule{TraceSeed: 7338701143958340983, CrashOp: 77, Mode: storage.TearScramble}, false},
+	{Schedule{TraceSeed: 8940310146990858404, CrashOp: 47, Mode: storage.TearScramble}, true},
+	{Schedule{TraceSeed: 8940310146990858404, CrashOp: 47, Mode: storage.TearOrdered}, true},
 }
 
 func TestRegressionSchedules(t *testing.T) {

@@ -112,9 +112,11 @@ func (r *Replica) apply(ctx context.Context, recs []wal.Record) error {
 		default:
 			// RecBegin, RecCheckpoint, RecBlobData, RecBlobDelta,
 			// RecFreeExtent, RecRefDelta, RecLanded: control or
-			// primary-device-physical. A RecLanded watermark speaks of
-			// the primary's extent writes; the replica's own committer
-			// logs its own.
+			// primary-device-physical. A relation's creation record
+			// (RecBegin) is not shipped: the apply of the first record
+			// that names a relation creates it in the replica. A
+			// RecLanded watermark speaks of the primary's extent writes;
+			// the replica's own committer logs its own.
 		}
 	}
 	// Aborted transactions never apply; drop their buffers up front.

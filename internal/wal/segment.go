@@ -73,22 +73,32 @@ func (w *Manager) scanSegment(m *simtime.Meter, slot int, wantID uint64) (recs [
 }
 
 // readHeaders scans every slot's header page, returning the valid segments
-// found on the device in ascending id order.
-func (w *Manager) readHeaders(m *simtime.Meter) ([]*segment, error) {
-	hdr := make([]byte, w.pageSize)
+// found on the device in ascending id order and the highest segment id any
+// slot still carries. That id is read from the valid header and also from
+// the block at page 1, which every opened segment writes first and which
+// outlives the header a checkpoint erases: a reused id would let a later
+// segment's scan run on into an older lifetime's blocks in the same slot.
+func (w *Manager) readHeaders(m *simtime.Meter) ([]*segment, uint64, error) {
+	buf := make([]byte, 2*w.pageSize)
 	var found []*segment
+	var maxID uint64
 	for slot := 0; slot < w.segCount; slot++ {
-		if err := w.dev.ReadPages(m, w.slotBase(slot), 1, hdr); err != nil {
-			return nil, err
+		if err := w.dev.ReadPages(m, w.slotBase(slot), 2, buf); err != nil {
+			return nil, 0, err
 		}
-		id, base, ok := decodeSegmentHeader(hdr)
+		block := buf[w.pageSize:]
+		if magic := binary.LittleEndian.Uint32(block); magic == flushMagic || magic == sealMagic {
+			maxID = max(maxID, binary.LittleEndian.Uint64(block[12:]))
+		}
+		id, base, ok := decodeSegmentHeader(buf[:w.pageSize])
 		if !ok {
 			continue
 		}
+		maxID = max(maxID, id)
 		found = append(found, &segment{id: id, slot: slot, baseLSN: base, lastLSN: base, writePos: 1})
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].id < found[j].id })
-	return found, nil
+	return found, maxID, nil
 }
 
 // RecoverInfo summarizes what Manager.Recover found on the device.
@@ -111,7 +121,7 @@ type RecoverInfo struct {
 func (w *Manager) Recover(m *simtime.Meter, after uint64, fn func(Record) bool) (RecoverInfo, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	found, err := w.readHeaders(m)
+	found, maxID, err := w.readHeaders(m)
 	if err != nil {
 		return RecoverInfo{}, err
 	}
@@ -147,14 +157,9 @@ func (w *Manager) Recover(m *simtime.Meter, after uint64, fn func(Record) bool) 
 		info.Segments = append(info.Segments, s.info())
 	}
 	// Adopt the device state: counters resume above everything seen (even
-	// segments past a torn one, whose ids must never be reused), and the
-	// scanned segments stay live until the next checkpoint erases them.
-	maxID := uint64(0)
-	for _, s := range found {
-		if s.id > maxID {
-			maxID = s.id
-		}
-	}
+	// segments past a torn one and blocks behind an erased header, whose
+	// ids must never be reused), and the scanned segments stay live until
+	// the next checkpoint erases them.
 	if maxID >= w.nextSegID {
 		w.nextSegID = maxID + 1
 	}

@@ -7,9 +7,10 @@
 //   - In the proposed design ("Our"), the WAL carries only the small Blob
 //     State record; blob bytes reach the device exactly once, at commit,
 //     outside the log (§III-C).
-//   - In the physical-logging baseline ("Our.physlog"), whole BLOBs are
-//     appended to the WAL as segments, doubling the write volume and
-//     inflating the log so checkpoints trigger more often.
+//   - In the physical-logging baseline ("Our.physlog", built by the
+//     benchmark adapter in internal/bench with AppendBlobData), whole
+//     BLOBs are also appended to the WAL as segments, doubling the write
+//     volume and inflating the log so checkpoints trigger more often.
 //
 // The log region is divided into fixed-size segment slots. Each segment
 // starts with a CRC-framed header page carrying a monotonically increasing
@@ -41,6 +42,8 @@ type RecType uint8
 
 // Record types used across the engine.
 const (
+	// RecBegin begins a relation: the payload is the relation's name.
+	// core.DB.CreateRelation logs it in a transaction of its own.
 	RecBegin RecType = iota + 1
 	RecCommit
 	RecAbort

@@ -208,6 +208,64 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	}
 }
 
+// TestSegmentIDsNeverRepeatAcrossRestarts: a checkpoint erases every
+// segment header but leaves the flush blocks behind them. The next
+// lifetime opens its first segment in the same slot; had it reused the
+// erased segment's id, a later recovery scan would read past the new
+// blocks into the older lifetime's blocks, which carry the same id.
+func TestSegmentIDsNeverRepeatAcrossRestarts(t *testing.T) {
+	const pages = 256
+	dev := storage.NewMemDevice(ps, pages, nil)
+	life := func() *Manager {
+		w := NewManager(dev, 0, pages)
+		if _, err := w.Recover(nil, 0, func(Record) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	// Lifetime 1: five one-record commits in one segment, then a
+	// checkpoint that erases its header.
+	w := life()
+	for txn := uint64(1); txn <= 5; txn++ {
+		l := w.NewWriter()
+		l.AppendLSN(nil, txn, RecHeapPut, []byte("old"))
+		if err := commitSync(l, nil, txn); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+	}
+	if err := w.Checkpoint(nil); err != nil {
+		t.Fatal(err)
+	}
+	ckptLSN := w.LastLSN()
+	// Lifetime 2: nothing to replay; fewer blocks into the reused slot.
+	w = life()
+	w.AdvanceLSN(ckptLSN)
+	for txn := uint64(101); txn <= 102; txn++ {
+		l := w.NewWriter()
+		l.AppendLSN(nil, txn, RecHeapPut, []byte("new"))
+		if err := commitSync(l, nil, txn); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+	}
+	// Lifetime 3 sees exactly lifetime 2's records.
+	w = NewManager(dev, 0, pages)
+	var got []uint64
+	if _, err := w.Recover(nil, 0, func(r Record) bool {
+		if r.TxnID <= 5 || string(r.Payload) == "old" {
+			t.Errorf("recovered lifetime 1's record %+v", r)
+		}
+		got = append(got, r.TxnID)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{101, 101, 102, 102}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("recovered records of txns %v, want %v", got, want)
+	}
+}
+
 func TestLogFullForcesCheckpoint(t *testing.T) {
 	w, _ := newWAL(t, 8) // tiny 32KB log region
 	w.SetBufferCap(8192)
